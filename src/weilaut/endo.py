@@ -13,7 +13,7 @@ from fractions import Fraction
 from .scalar import QQ, FieldElement
 from .poly import PolyRing, Polynomial, PolyError
 from .weil import structure_product, WeilError
-from .linalg import bareiss_determinant, rref, matmul, identity_matrix
+from .linalg import bareiss_determinant, filtered_determinant, rref, matmul, identity_matrix
 
 
 class EndoError(ValueError):
@@ -105,6 +105,10 @@ def generic_endo(algebra, symbol_prefix=""):
     return SymbolicEndo(algebra, ring, names, images, slots)
 
 
+def _poly_div(a, b):
+    return a.exact_div(b)
+
+
 class SymbolicMatrix:
     __slots__ = ("ring", "entries", "labels")
 
@@ -118,8 +122,26 @@ class SymbolicMatrix:
         self.entries = [list(row) for row in entries]
         self.labels = list(labels)
 
-    def det(self):
-        return bareiss_determinant(self.entries, lambda a, b: a.exact_div(b))
+    def det(self, blocks=None):
+        """Exact determinant, 1 for the empty matrix.
+
+        With blocks, the matrix must be block upper-triangular along them
+        and the result is the product of the diagonal blocks' determinants
+        (linalg.filtered_determinant).
+        """
+        if not self.entries:
+            return self.ring.one()
+        if blocks is None:
+            return bareiss_determinant(self.entries, _poly_div)
+        return filtered_determinant(self.entries, blocks, _poly_div)
+
+    def block(self, positions):
+        """The principal submatrix on the given positions."""
+        return SymbolicMatrix(
+            self.ring,
+            [[self.entries[i][j] for j in positions] for i in positions],
+            [self.labels[i] for i in positions],
+        )
 
     def diagonal(self):
         return [self.entries[i][i] for i in range(len(self.entries))]

@@ -41,6 +41,39 @@ def bareiss_determinant(rows, exact_div):
     return det if sign == 1 else -det
 
 
+def filtered_determinant(rows, blocks, exact_div):
+    """Determinant of a matrix that is block upper-triangular along blocks.
+
+    blocks partitions the row/column positions into pieces 1, 2, ...; every
+    entry in a row of piece d and a column of a piece before d must be zero.
+    The determinant is then the product of the diagonal blocks' determinants.
+    """
+    n = len(rows)
+    if n == 0:
+        raise LinalgError("empty matrix")
+    piece = [None] * n
+    for d, block in enumerate(blocks):
+        for i in block:
+            if piece[i] is not None:
+                raise LinalgError("position %d lies in two blocks" % i)
+            piece[i] = d
+    if None in piece:
+        raise LinalgError("the blocks do not cover the matrix")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise LinalgError("matrix is not square")
+        for j, x in enumerate(row):
+            if x and piece[j] < piece[i]:
+                raise LinalgError(
+                    "entry (%d, %d) breaks block triangularity" % (i, j)
+                )
+    det = None
+    for block in blocks:
+        d = bareiss_determinant([[rows[i][j] for j in block] for i in block], exact_div)
+        det = d if det is None else det * d
+    return det
+
+
 def field_div(a, b):
     """Division usable as the exact_div hook for field entries."""
     from fractions import Fraction
@@ -81,10 +114,6 @@ def rref(rows):
         if r == nrows:
             break
     return m, pivots
-
-
-def rank(rows):
-    return len(rref(rows)[1])
 
 
 def matmul(a, b):

@@ -261,31 +261,54 @@ class Polynomial:
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, mapping):
-        """Replace variables by polynomials (or scalars) of the same ring."""
-        ring = self.ring
-        idx = {ring.index[v]: ring.coerce(p) for v, p in mapping.items()}
-        if not idx:
+        """Replace variables by polynomials (or scalars) of the same ring.
+
+        Only bindings of variables that occur are coerced and powered. Terms
+        are accumulated in the order a term-by-term sum of rest * powers
+        would insert them, so the result's term order is reproducible.
+        """
+        if not mapping or not self.terms:
             return self
-        pows = {i: {0: ring.one()} for i in idx}
+        ring = self.ring
+        occurs = [any(col) for col in zip(*self.terms)]
+        subs = []
+        for v, p in mapping.items():
+            i = ring.index[v]
+            if occurs[i]:
+                subs.append((i, ring.coerce(p)))
+        if not subs:
+            return self
+        pows = [{1: p} for _, p in subs]
+        out = {}
 
-        def power(i, k):
-            cache = pows[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * idx[i]
-            return cache[k]
+        def add(e, c):
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+                return
+            s = s + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
 
-        out = ring.zero()
         for e, c in self.terms.items():
             rest = list(e)
             piece = None
-            for i in idx:
-                if e[i]:
-                    rest[i] = 0
-                    p = power(i, e[i])
-                    piece = p if piece is None else piece * p
-            base = Polynomial(ring, {tuple(rest): c})
-            out = out + (base if piece is None else base * piece)
-        return out
+            for (i, p), cache in zip(subs, pows):
+                k = e[i]
+                if not k:
+                    continue
+                rest[i] = 0
+                for j in range(len(cache) + 1, k + 1):
+                    cache[j] = cache[j - 1] * p
+                piece = cache[k] if piece is None else piece * cache[k]
+            if piece is None:
+                add(e, c)
+                continue
+            for e2, c2 in piece.terms.items():
+                add(tuple(a + b for a, b in zip(rest, e2)), c * c2)
+        return Polynomial(ring, out)
 
     def evaluate(self, values):
         """Evaluate at scalars; every used variable must be given."""
@@ -388,19 +411,44 @@ class Polynomial:
             c = other.constant_value()
             inv = c.inverse() if isinstance(c, FieldElement) else 1 / Fraction(c)
             return self.map_coeffs(lambda v: v * inv)
-        rem = Polynomial(self.ring, dict(self.terms))
+        # imported here: loading heapq would add to every import of weilaut
+        from heapq import heapify, heappop, heappush
+        rem = dict(self.terms)
         q = {}
         dexps, dc = other.leading()
         dinv = dc.inverse() if isinstance(dc, FieldElement) else 1 / Fraction(dc)
-        key = self.ring.order.key
-        while rem.terms:
-            exps = max(rem.terms, key=key)
+        tail = [(e, c) for e, c in other.terms.items() if e != dexps]
+        prec = self.ring.order.precedence
+
+        def entry(e):
+            # heapq pops the smallest, so negate the order key
+            return (-sum(e), tuple(-e[i] for i in prec)), e
+
+        heap = [entry(e) for e in rem]
+        heapify(heap)
+        while heap:
+            exps = heappop(heap)[1]
+            c = rem.pop(exps, None)
+            if c is None:
+                continue
             ne = tuple(a - b for a, b in zip(exps, dexps))
             if any(k < 0 for k in ne):
                 raise PolyError("division is not exact")
-            c = rem.terms[exps] * dinv
+            c = c * dinv
             q[ne] = c
-            rem = rem - Polynomial(self.ring, {ne: c}) * other
+            for f, fc in tail:
+                e = tuple(a + b for a, b in zip(ne, f))
+                t = c * fc
+                s = rem.get(e)
+                if s is None:
+                    rem[e] = -t
+                    heappush(heap, entry(e))
+                else:
+                    s = s - t
+                    if s:
+                        rem[e] = s
+                    else:
+                        del rem[e]
         return Polynomial(self.ring, q)
 
     def derivative(self, var):

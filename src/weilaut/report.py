@@ -13,7 +13,6 @@ from .endo import (
     extend_to_matrix,
     generic_endo,
     lift_to_field,
-    linear_matrix,
     substitute,
 )
 from .published import build_discrepancies, match_reference_family, reference_for
@@ -93,17 +92,20 @@ def _residual_json(res):
 
 
 def family_determinants(endo, fam):
-    """Exact det M, det M1 and the diagonal of M on one family."""
+    """Exact det M, det M1 and the diagonal of M on one family.
+
+    A family preserves m > m^2 > ..., so M is block upper-triangular along
+    the graded pieces m^d/m^(d+1): det M is the product of the diagonal
+    blocks' determinants and det M1 is that of the first block.
+    """
     full = extend_to_matrix(endo)
-    lin = linear_matrix(endo)
     if fam.ring.domain is not endo.ring.domain:
         full = lift_to_field(full, fam.ring.domain)
-        lin = lift_to_field(lin, fam.ring.domain)
     full = substitute(full, fam.bindings)
-    lin = substitute(lin, fam.bindings)
+    pieces = endo.algebra.graded_pieces()
     return {
-        "full": repr(full.det()),
-        "linear": repr(lin.det()),
+        "full": repr(full.det(pieces)),
+        "linear": repr(full.block(pieces[0] if pieces else ()).det()),
         "diagonal": [repr(p) for p in full.diagonal()],
     }
 

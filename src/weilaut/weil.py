@@ -156,6 +156,21 @@ class WeilAlgebra:
     def degree_one_indices(self):
         return [i for i, e in enumerate(self.basis) if sum(e) == 1]
 
+    def graded_pieces(self):
+        """Nil-block positions spanning m^d / m^(d+1), for d = 1, 2, ...
+
+        Each m^d is spanned by basis monomials (see nil_power_indices), so
+        piece d is the monomials of m^d outside m^(d+1); piece 1 is the
+        degree-one basis.
+        """
+        npi = self.nil_power_indices
+        position = {k: p for p, k in enumerate(self.nil_indices)}
+        pieces = []
+        for d, span in enumerate(npi):
+            deeper = set(npi[d + 1]) if d + 1 < len(npi) else set()
+            pieces.append(tuple(position[k] for k in span if k not in deeper))
+        return tuple(pieces)
+
 
 def structure_product(algebra, u, v, zero):
     """Coordinates of the product of two coordinate vectors.

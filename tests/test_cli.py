@@ -137,3 +137,34 @@ def test_algebra_selector_picks_the_named_block(tmp_path, capsys):
     assert capsys.readouterr().out == "dim 4: 1, X, Y, XY\n"
     assert main(["basis", str(f), "--algebra", "second"]) == 0
     assert capsys.readouterr().out == "dim 2: 1, X\n"
+
+
+POINT = "algebra point { vars: X; order: 1; relations: X; }\n"
+
+
+def test_solve_the_trivial_weil_algebra(tmp_path, capsys):
+    # Q[X]/(X) is the reals themselves: the nil block is empty and both
+    # determinants are the empty product
+    spec = tmp_path / "point.alg"
+    spec.write_text(POINT)
+    out_json = tmp_path / "point.json"
+    assert main(["solve", str(spec), "--json", str(out_json)]) == 0
+    assert capsys.readouterr().out == (
+        "point: dim 1, 0 unknowns\n"
+        "families: 1\n"
+        "  family 1: (no bindings)\n"
+        "    free: (none)\n"
+        "    nonzero: (none)\n"
+        "    det1 = 1, image {1}\n"
+        "  family 1 determinants: det M = 1, det M1 = 1\n"
+        "contradictions: 0\n"
+        "components: 1\n"
+        "det1 image: {1}\n"
+    )
+    rep = json.loads(out_json.read_bytes())
+    assert rep["algebra"]["dim"] == 1
+    assert rep["determinants"]["families"] == [
+        {"diagonal": [], "full": "1", "linear": "1"}
+    ]
+    assert rep["components"] == 1
+    assert rep["det1_image"] == "{1}"

@@ -1,0 +1,152 @@
+"""Family determinants along the m-adic filtration m > m^2 > ...
+
+Full Bareiss on the whole nil block is the oracle: on every family the
+product of the diagonal-block determinants must equal it, and the first
+block must give det M1.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import weilaut
+from weilaut.endo import (
+    extend_to_matrix,
+    generic_endo,
+    lift_to_field,
+    linear_matrix,
+    substitute,
+)
+from weilaut.linalg import LinalgError, bareiss_determinant, filtered_determinant
+from weilaut.parsing import parse_polynomial, parse_specfile
+from weilaut.published import QUARTIC
+from weilaut.report import analyze, family_determinants
+from weilaut.specdata import spec_path
+from weilaut.weil import build_algebra
+
+PROBES = """
+algebra cusp { vars: X, Y; order: 4; relations: X^2 - Y^3; }
+algebra tan3 { vars: X, Y, Z; order: 3; relations: X^2, Y^2, Z^2; }
+algebra jet23 { vars: X, Y; order: 3; relations: ; }
+algebra jet32 { vars: X, Y, Z; order: 2; relations: ; }
+"""
+
+SHIPPED = ("tangent2", "quartic", "sextic")
+
+
+def div(a, b):
+    return a.exact_div(b)
+
+
+def load(name):
+    if name in SHIPPED:
+        with open(spec_path(name), encoding="utf-8") as fh:
+            return parse_specfile(fh.read())[0]
+    return {s.name: s for s in parse_specfile(PROBES)}[name]
+
+
+def reversed_precedence(spec):
+    return spec.with_precedence(tuple(reversed(spec.precedence or spec.variables)))
+
+
+def family_matrices(analysis, fam):
+    """The nil-block matrix and the degree-one matrix on one family."""
+    endo = analysis.endo
+    full = extend_to_matrix(endo)
+    lin = linear_matrix(endo)
+    if fam.ring.domain is not endo.ring.domain:
+        full = lift_to_field(full, fam.ring.domain)
+        lin = lift_to_field(lin, fam.ring.domain)
+    return substitute(full, fam.bindings), substitute(lin, fam.bindings)
+
+
+@pytest.mark.parametrize("flip", (False, True), ids=("shipped", "reversed"))
+@pytest.mark.parametrize(
+    "name", SHIPPED + ("cusp", "tan3", "jet23", "jet32")
+)
+def test_block_product_equals_full_bareiss(name, flip):
+    spec = load(name)
+    if flip:
+        spec = reversed_precedence(spec)
+    analysis = analyze(spec)
+    pieces = analysis.algebra.graded_pieces()
+    for fam in analysis.result.families:
+        full, lin = family_matrices(analysis, fam)
+        det = filtered_determinant(full.entries, pieces, div)
+        assert det == bareiss_determinant(full.entries, div)
+        det1 = bareiss_determinant(full.block(pieces[0]).entries, div)
+        assert det1 == bareiss_determinant(lin.entries, div)
+        reported = family_determinants(analysis.endo, fam)
+        assert reported["full"] == repr(det)
+        assert reported["linear"] == repr(det1)
+
+
+def test_quartic_block_factors_against_the_printed_matrix():
+    analysis = analyze(load("quartic"))
+    (fam,) = analysis.result.families
+    ref = QUARTIC["families"][0]
+    ring = analysis.endo.ring
+    full, _ = family_matrices(analysis, fam)
+    assert full.labels == ref["labels"]
+    pieces = analysis.algebra.graded_pieces()
+    assert [[full.labels[i] for i in p] for p in pieces] == [
+        ["X", "Y"],
+        ["X^2", "X*Y", "Y^2"],
+        ["X^3", "X^2*Y", "X*Y^2"],
+        ["X^4"],
+    ]
+    factors = [full.block(p).det() for p in pieces]
+    assert [repr(f) for f in factors] == ["A^2", "A^6", "A^9", "A^4"]
+    det = filtered_determinant(full.entries, pieces, div)
+    assert det == parse_polynomial("A^21", ring)
+    assert repr(det) == family_determinants(analysis.endo, fam)["full"]
+    # the printed matrix is block triangular too; its factor 4 comes from
+    # the printed diagonal entries 2*A^3 at X^3 and 2*A^4 at X^4
+    printed = [[parse_polynomial(e, ring) for e in row] for row in ref["matrix"]]
+    printed_det = filtered_determinant(printed, pieces, div)
+    assert printed_det == parse_polynomial(ref["det_full"], ring)
+    assert printed_det == 4 * det
+
+
+def cusp_generic_nil_matrix():
+    algebra = build_algebra(load("cusp"))
+    return extend_to_matrix(generic_endo(algebra)).entries, algebra.graded_pieces()
+
+
+def test_generic_cusp_matrix_is_not_block_triangular():
+    # X^2 = Y^3 lies in m^3, but the generic image of X^2 has a Y^2 term
+    rows, pieces = cusp_generic_nil_matrix()
+    with pytest.raises(LinalgError):
+        filtered_determinant(rows, pieces, div)
+
+
+def test_triangularity_check_survives_optimized_python():
+    code = "\n".join((
+        "import sys",
+        "sys.path.insert(0, %r)" % os.path.dirname(__file__),
+        "from test_filtration import cusp_generic_nil_matrix, div",
+        "from weilaut.linalg import LinalgError, filtered_determinant",
+        "assert False, 'asserts are on'",
+        "rows, pieces = cusp_generic_nil_matrix()",
+        "try:",
+        "    filtered_determinant(rows, pieces, div)",
+        "except LinalgError:",
+        "    print('raised')",
+    ))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weilaut.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "raised\n"
+
+
+def test_blocks_must_partition_the_matrix():
+    rows, pieces = cusp_generic_nil_matrix()
+    with pytest.raises(LinalgError):
+        filtered_determinant(rows, pieces[:-1], div)
+    with pytest.raises(LinalgError):
+        filtered_determinant(rows, pieces + (pieces[0],), div)

@@ -106,6 +106,110 @@ def test_exact_div_roundtrip():
         (X**2 + Y).exact_div(X + 1)
 
 
+def substitute_by_sum(p, mapping):
+    """Term-by-term substitution: sum of rest * product of binding powers."""
+    ring = p.ring
+    out = ring.zero()
+    for e, c in p.terms.items():
+        rest = list(e)
+        piece = None
+        for v, q in mapping.items():
+            i = ring.index[v]
+            if e[i]:
+                rest[i] = 0
+                power = ring.one()
+                for _ in range(e[i]):
+                    power = power * ring.coerce(q)
+                piece = power if piece is None else piece * power
+        base = ring.monomial(rest, c)
+        out = out + (base if piece is None else base * piece)
+    return out
+
+
+def divide_by_max_term(p, q):
+    """Long division taking the order-largest remainder term each step."""
+    ring = p.ring
+    key = ring.order.key
+    dexps, dc = q.leading()
+    rem, quo = p, ring.zero()
+    while rem:
+        exps = max(rem.terms, key=key)
+        ne = tuple(a - b for a, b in zip(exps, dexps))
+        t = ring.monomial(ne, rem.terms[exps] / dc)
+        quo, rem = quo + t, rem - t * q
+    return quo
+
+
+def test_substitute_unused_scalar_and_repeated_powers():
+    rng = random.Random(29)
+    r = PolyRing(("X", "Y", "Z", "W"), QQ)
+    X, Y, Z = r.var("X"), r.var("Y"), r.var("Z")
+    for _ in range(30):
+        # W never occurs, so its binding is unused
+        p = r.zero()
+        for _ in range(6):
+            exps = (rng.randrange(5), rng.randrange(4), rng.randrange(3), 0)
+            p = p + r.monomial(exps, Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)))
+        mapping = {
+            "W": X * Y + 7,
+            "X": Y - 2 * Z + Fraction(rng.randrange(-3, 4)),
+            "Y": Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)),
+            "Z": X * Z - Y**2 if rng.random() < 0.5 else 0,
+        }
+        got = p.substitute(mapping)
+        assert list(got.terms.items()) == list(substitute_by_sum(p, mapping).terms.items())
+        for _ in range(3):
+            point = {v: Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for v in r.vars}
+            images = {
+                v: q.evaluate(point) if hasattr(q, "evaluate") else Fraction(q)
+                for v, q in mapping.items()
+            }
+            assert got.evaluate(point) == p.evaluate(dict(point, **images))
+    p = X**2 * Z + Y
+    assert p.substitute({"W": X}) is p
+
+
+@pytest.mark.parametrize("precedence", (None, ("Z", "Y", "X")))
+def test_exact_div_random_sparse(precedence):
+    rng = random.Random(30)
+    r = PolyRing(("X", "Y", "Z"), QQ, precedence)
+    for _ in range(30):
+        p = rand_poly(rng, r, maxdeg=3, nterms=rng.randrange(1, 7))
+        q = rand_poly(rng, r, maxdeg=2, nterms=rng.randrange(1, 5))
+        if not q:
+            continue
+        prod = p * q
+        got = prod.exact_div(q)
+        assert got == p
+        if not q.is_constant():
+            assert list(got.terms.items()) == list(divide_by_max_term(prod, q).terms.items())
+
+
+def test_exact_div_extension_field():
+    F = cbrt4_field()
+    rng = random.Random(31)
+    c = F.gen()
+    for precedence in (None, ("B", "A")):
+        r = PolyRing(("A", "B"), F, precedence)
+        for _ in range(15):
+            p = rand_poly(rng, r, 2, 3) + r.const(c) * rand_poly(rng, r, 2, 2)
+            q = rand_poly(rng, r, 2, 2) * r.const(c * c) + r.var("A") - r.const(c)
+            assert (p * q).exact_div(q) == p
+
+
+def test_exact_div_rejects_a_remainder():
+    rng = random.Random(32)
+    r = PolyRing(("X", "Y", "Z"), QQ)
+    X, Y = r.var("X"), r.var("Y")
+    for _ in range(15):
+        p = rand_poly(rng, r)
+        q = rand_poly(rng, r, 2, 3) + X * Y - Y
+        with pytest.raises(PolyError):
+            (p * q + X + 1).exact_div(q)
+    with pytest.raises(PolyError):
+        (X**2 + Y).exact_div(X * Y)
+
+
 def test_normalizers():
     r = xy_ring()
     X, Y = r.var("X"), r.var("Y")

@@ -116,6 +116,24 @@ def test_nil_power_dims_decrease():
         assert alg.nilpotency_order == len(dims)
 
 
+def test_graded_pieces():
+    cusp = build_algebra(AlgebraSpec("cusp", ("X", "Y"), 4, [{(2, 0): 1, (0, 3): -1}]))
+    point = build_algebra(AlgebraSpec("point", ("X",), 1, [{(1,): 1}]))
+    for alg in (tangent2(), quartic(), sextic(), cusp, point):
+        pieces = alg.graded_pieces()
+        assert len(pieces) == alg.nilpotency_order
+        positions = sorted(p for piece in pieces for p in piece)
+        assert positions == list(range(len(alg.nil_indices)))
+        if pieces:
+            assert [alg.nil_indices[p] for p in pieces[0]] == alg.degree_one_indices()
+    names = cusp.basis_names()
+    by_piece = [[names[cusp.nil_indices[p]] for p in piece] for piece in cusp.graded_pieces()]
+    # X^2 = Y^3 sits in m^3, not in m^2 / m^3
+    assert "X^2" in by_piece[2]
+    assert "X^2" not in by_piece[1]
+    assert point.graded_pieces() == ()
+
+
 def test_nil_quotient_projection():
     alg = tangent2()
     proj = nil_quotient_projection(alg)
