@@ -10,10 +10,10 @@ as the independent ground truth for every derived equation.
 
 from fractions import Fraction
 
-from .scalar import QQ, FieldElement
-from .poly import PolyRing, Polynomial, PolyError
-from .weil import structure_product, WeilError
-from .linalg import bareiss_determinant, filtered_determinant, rref, matmul, identity_matrix
+from .scalar import QQ, field_div
+from .poly import PolyRing, Polynomial
+from .weil import structure_product
+from .linalg import bareiss_determinant, filtered_determinant, rref, matmul
 
 
 class EndoError(ValueError):
@@ -55,26 +55,10 @@ class SymbolicEndo:
 
     def image_of_monomial(self, exps):
         """Coordinates of the image of a basis monomial, phi extended multiplicatively."""
-        exps = tuple(exps)
-        cached = self._monomial_cache.get(exps)
-        if cached is not None:
-            return cached
-        alg = self.algebra
         ring = self.ring
-        zero = ring.zero()
-        if not any(exps):
-            coords = [zero] * alg.dim
-            coords[0] = ring.one()
-        else:
-            # peel one variable off the monomial and recurse
-            i = next(k for k, e in enumerate(exps) if e)
-            prev = list(exps)
-            prev[i] -= 1
-            base = self.image_of_monomial(tuple(prev))
-            var_img = self.images[alg.ring.vars[i]]
-            coords = structure_product(alg, base, var_img, zero)
-        self._monomial_cache[exps] = coords
-        return coords
+        return _monomial_image(
+            self.algebra, self.images, tuple(exps), ring.zero(), ring.one(), self._monomial_cache
+        )
 
     def image_of_polynomial(self, p):
         """Image coordinates of an algebra polynomial (not reduced beforehand)."""
@@ -85,6 +69,30 @@ class SymbolicEndo:
             coords = self.image_of_monomial(exps)
             acc = [a + x * c for a, x in zip(acc, coords)]
         return acc
+
+
+def _monomial_image(algebra, images, exps, zero, one, cache):
+    """Coordinates of phi(monomial), phi given by the images of the variables.
+
+    phi is extended multiplicatively by peeling one variable off the
+    monomial. zero and one are the coordinates' own, so the same recursion
+    serves symbolic and numeric endomorphisms; cache maps exponents to
+    coordinates already computed.
+    """
+    coords = cache.get(exps)
+    if coords is not None:
+        return coords
+    if not any(exps):
+        coords = [zero] * algebra.dim
+        coords[0] = one
+    else:
+        i = next(k for k, e in enumerate(exps) if e)
+        prev = list(exps)
+        prev[i] -= 1
+        base = _monomial_image(algebra, images, tuple(prev), zero, one, cache)
+        coords = structure_product(algebra, base, images[algebra.ring.vars[i]], zero)
+    cache[exps] = coords
+    return coords
 
 
 def generic_endo(algebra, symbol_prefix=""):
@@ -213,18 +221,6 @@ def constraint_system(endo):
     return ConstraintSystem(endo.ring, equations, [det1], provenance, endo.unknowns)
 
 
-class DeterminantReport:
-    __slots__ = ("det_full", "det_linear")
-
-    def __init__(self, det_full, det_linear):
-        self.det_full = det_full
-        self.det_linear = det_linear
-
-
-def determinants(m_full, m_lin):
-    return DeterminantReport(m_full.det(), m_lin.det())
-
-
 def resolve_bindings(ring, bindings):
     """Close an acyclic binding set so no bound symbol remains on any rhs."""
     bnd = {}
@@ -279,34 +275,6 @@ def substitute(target, bindings):
     raise EndoError("cannot substitute into %r" % type(target).__name__)
 
 
-def lift_to_field(target, field):
-    """Re-home a constraint system or matrix over an extension field."""
-    def lift_ring(ring):
-        return PolyRing(ring.vars, field)
-
-    if isinstance(target, ConstraintSystem):
-        ring = lift_ring(target.ring)
-        conv = lambda p: p.map_coeffs(field.coerce, ring)
-        return ConstraintSystem(
-            ring,
-            [conv(p) for p in target.equations],
-            [conv(p) for p in target.nondegeneracy],
-            list(target.provenance),
-            target.unknowns,
-        )
-    if isinstance(target, SymbolicMatrix):
-        ring = lift_ring(target.ring)
-        return SymbolicMatrix(
-            ring,
-            [[p.map_coeffs(field.coerce, ring) for p in row] for row in target.entries],
-            target.labels,
-        )
-    if isinstance(target, Polynomial):
-        ring = lift_ring(target.ring)
-        return target.map_coeffs(field.coerce, ring)
-    raise EndoError("cannot lift %r" % type(target).__name__)
-
-
 class NumericEndo:
     __slots__ = (
         "algebra",
@@ -319,15 +287,7 @@ class NumericEndo:
     )
 
     def det_full(self):
-        return bareiss_determinant(self.nil_matrix, _scalar_div)
-
-
-def _scalar_div(a, b):
-    if isinstance(a, FieldElement):
-        return a / b
-    if isinstance(b, FieldElement):
-        return b.__rtruediv__(a)
-    return Fraction(a) / Fraction(b)
+        return bareiss_determinant(self.nil_matrix, field_div)
 
 
 def numeric_instantiate(endo, values):
@@ -341,32 +301,12 @@ def numeric_instantiate(endo, values):
         images[v] = [c.evaluate(values) if c else Fraction(0) for c in coords]
 
     cache = {}
-
-    def img(exps):
-        exps = tuple(exps)
-        got = cache.get(exps)
-        if got is not None:
-            return got
-        if not any(exps):
-            coords = [Fraction(0)] * alg.dim
-            coords[0] = Fraction(1)
-        else:
-            i = next(k for k, e in enumerate(exps) if e)
-            prev = list(exps)
-            prev[i] -= 1
-            coords = structure_product(alg, img(tuple(prev)), images[alg.ring.vars[i]], Fraction(0))
-        cache[exps] = coords
-        return coords
-
-    rows = [img(e) for e in alg.basis]
+    rows = [_monomial_image(alg, images, e, Fraction(0), Fraction(1), cache) for e in alg.basis]
     failing = []
     for i in range(alg.dim):
         for j in range(i, alg.dim):
-            prod_coords = alg.structure[i][j]
             lhs = None
-            for k, c in enumerate(prod_coords):
-                if not c:
-                    continue
+            for k, c in alg.structure_pairs[i][j]:
                 term = [x * c for x in rows[k]]
                 lhs = term if lhs is None else [a + b for a, b in zip(lhs, term)]
             if lhs is None:
@@ -382,7 +322,7 @@ def numeric_instantiate(endo, values):
     out.failing_pairs = failing
     deg1 = alg.degree_one_indices()
     m1 = [[rows[i][j] for j in deg1] for i in deg1]
-    out.det_linear = bareiss_determinant(m1, _scalar_div) if m1 else Fraction(1)
+    out.det_linear = bareiss_determinant(m1, field_div) if m1 else Fraction(1)
     nilrank = len(rref(out.nil_matrix)[1]) if out.nil_matrix else 0
     out.is_automorphism = out.is_homomorphism and nilrank == len(alg.nil_indices)
     return out

@@ -5,6 +5,8 @@ truthiness for zero tests. Division is injected where needed so the same
 routines serve Fraction, FieldElement and Polynomial entries.
 """
 
+from .scalar import field_div
+
 
 class LinalgError(ArithmeticError):
     pass
@@ -74,17 +76,6 @@ def filtered_determinant(rows, blocks, exact_div):
     return det
 
 
-def field_div(a, b):
-    """Division usable as the exact_div hook for field entries."""
-    from fractions import Fraction
-    from .scalar import FieldElement
-    if isinstance(a, FieldElement) or isinstance(b, FieldElement):
-        if not isinstance(a, FieldElement):
-            return b.__rtruediv__(a)
-        return a / b
-    return Fraction(a) / Fraction(b)
-
-
 def rref(rows):
     """Reduced row echelon form over a field. Returns (new rows, pivot cols)."""
     if not rows:
@@ -103,7 +94,8 @@ def rref(rows):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv_row = [field_div(x, m[r][c]) for x in m[r]]
+        inv = field_div(1, m[r][c])
+        inv_row = [x * inv for x in m[r]]
         m[r] = inv_row
         for i in range(nrows):
             if i != r and m[i][c]:

@@ -14,7 +14,7 @@ A # starts a comment.
 
 from fractions import Fraction
 
-from .scalar import QQ
+from .scalar import QQ, field_div
 from .poly import PolyRing
 from .weil import AlgebraSpec
 
@@ -155,7 +155,7 @@ class _PolyParser:
                 q = self.parse_factor()
                 if not q.is_constant() or not q:
                     raise ParseError("division only by nonzero constants", t[2], t[3])
-                p = p * (1 / Fraction(q.constant_value()))
+                p = p * field_div(1, q.constant_value())
             elif s.at("NAME") or s.at("INT") or s.at("("):
                 p = p * self.parse_factor()
             else:

@@ -9,7 +9,7 @@ variables.
 
 from fractions import Fraction
 
-from .scalar import FieldElement, sign_of
+from .scalar import FieldElement, _udivmod, _utrim, eval_rational, field_div, sign_of
 
 
 class PolyError(ArithmeticError):
@@ -28,6 +28,16 @@ class MonomialOrder:
         return (sum(exps), tuple(exps[i] for i in self.precedence))
 
 
+def monomials(nvars, lo, hi):
+    """Exponent tuples in nvars variables with lo <= total degree <= hi.
+
+    They come in ascending lexicographic order of the tuples.
+    """
+    if nvars == 1:
+        return [(k,) for k in range(max(lo, 0), hi + 1)]
+    return [(k,) + rest for k in range(hi + 1) for rest in monomials(nvars - 1, lo - k, hi - k)]
+
+
 class PolyRing:
     __slots__ = ("vars", "domain", "order", "index")
 
@@ -44,9 +54,6 @@ class PolyRing:
                 raise PolyError("precedence must permute the variables")
             order = tuple(self.index[v] for v in precedence)
         self.order = MonomialOrder(order)
-
-    def nvars(self):
-        return len(self.vars)
 
     def zero(self):
         return Polynomial(self, {})
@@ -86,8 +93,11 @@ class PolyRing:
             return x
         return self.const(x)
 
-    def same_vars(self, other):
-        return self.vars == other.vars
+    def lift(self, p):
+        """p, over the same variables and a subfield, as a polynomial of this ring."""
+        if p.ring.vars != self.vars:
+            raise PolyError("polynomial over other variables")
+        return p.map_coeffs(self.domain.coerce, self)
 
     def monomial_str(self, exps):
         parts = []
@@ -219,24 +229,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def mul_capped(self, other, maxdeg):
-        """Product with all monomials of total degree > maxdeg dropped."""
-        out = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > maxdeg:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return Polynomial(self.ring, out)
-
     def __pow__(self, n):
         if n < 0:
             raise PolyError("negative power")
@@ -367,10 +359,7 @@ class Polynomial:
         _, lc = self.leading()
         if lc == 1:
             return self
-        if isinstance(lc, FieldElement):
-            inv = lc.inverse()
-        else:
-            inv = 1 / Fraction(lc)
+        inv = field_div(1, lc)
         return self.map_coeffs(lambda c: c * inv)
 
     def primitive(self):
@@ -408,15 +397,14 @@ class Polynomial:
         if not other:
             raise ZeroDivisionError("exact_div by zero")
         if other.is_constant():
-            c = other.constant_value()
-            inv = c.inverse() if isinstance(c, FieldElement) else 1 / Fraction(c)
+            inv = field_div(1, other.constant_value())
             return self.map_coeffs(lambda v: v * inv)
         # imported here: loading heapq would add to every import of weilaut
         from heapq import heapify, heappop, heappush
         rem = dict(self.terms)
         q = {}
         dexps, dc = other.leading()
-        dinv = dc.inverse() if isinstance(dc, FieldElement) else 1 / Fraction(dc)
+        dinv = field_div(1, dc)
         tail = [(e, c) for e, c in other.terms.items() if e != dexps]
         prec = self.ring.order.precedence
 
@@ -501,30 +489,6 @@ class Polynomial:
         return " ".join(parts)
 
 
-def leading_term(p, order=None):
-    """Order-maximal (monomial exponents, coefficient) of a nonzero p."""
-    if order is None:
-        return p.leading()
-    if not p.terms:
-        raise PolyError("zero polynomial has no leading term")
-    exps = max(p.terms, key=order.key)
-    return exps, p.terms[exps]
-
-
-def poly_arith(p, q, op):
-    if not isinstance(p, Polynomial) or not isinstance(q, Polynomial):
-        raise PolyError("polynomial operands required")
-    if p.ring.vars != q.ring.vars:
-        raise PolyError("mismatched variable contexts")
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError("unknown op %r" % (op,))
-
-
 # -- univariate tools: coefficient lists over the scalar field ---------------
 
 
@@ -545,61 +509,18 @@ def univariate_coeffs(p, var=None):
     return out
 
 
-def _ueval(coeffs, x):
-    acc = None
-    for c in reversed(coeffs):
-        acc = c if acc is None else acc * x + c
-    return acc
-
-
-def _utrimmed(cs):
-    cs = list(cs)
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
-
-
-def _urem(a, b):
-    """Remainder of coefficient lists over a field."""
-    a = list(a)
-    binv = b[-1].inverse() if isinstance(b[-1], FieldElement) else 1 / Fraction(b[-1])
-    while len(a) >= len(b) and a:
-        f = a[-1] * binv
-        k = len(a) - len(b)
-        for i, cb in enumerate(b):
-            a[k + i] = a[k + i] - f * cb
-        a = _utrimmed(a)
-    return a
-
-
 def _ugcd_monic(a, b):
-    a, b = _utrimmed(a), _utrimmed(b)
+    a, b = _utrim(list(a)), _utrim(list(b))
     while b:
-        a, b = b, _urem(a, b)
+        a, b = b, _udivmod(a, b)[1]
     if not a:
         return a
-    ainv = a[-1].inverse() if isinstance(a[-1], FieldElement) else 1 / Fraction(a[-1])
-    return [c * ainv for c in a]
+    inv = field_div(1, a[-1])
+    return [c * inv for c in a]
 
 
 def _uderiv(a):
-    return _utrimmed([a[i] * i for i in range(1, len(a))])
-
-
-def _uexact_div(a, b):
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    binv = b[-1].inverse() if isinstance(b[-1], FieldElement) else 1 / Fraction(b[-1])
-    while len(a) >= len(b) and a:
-        f = a[-1] * binv
-        k = len(a) - len(b)
-        q[k] = f
-        for i, cb in enumerate(b):
-            a[k + i] = a[k + i] - f * cb
-        a = _utrimmed(a)
-    if a:
-        raise PolyError("univariate division not exact")
-    return q
+    return _utrim([a[i] * i for i in range(1, len(a))])
 
 
 def sturm_count(p, interval=(None, None)):
@@ -609,7 +530,7 @@ def sturm_count(p, interval=(None, None)):
     mean -oo / +oo. Signs of extension-field values go through scalar.sign_of.
     """
     coeffs = list(p) if isinstance(p, (list, tuple)) else univariate_coeffs(p)
-    coeffs = _utrimmed(coeffs)
+    coeffs = _utrim(coeffs)
     if not coeffs:
         raise PolyError("zero polynomial")
     if len(coeffs) == 1:
@@ -617,12 +538,14 @@ def sturm_count(p, interval=(None, None)):
     d = _uderiv(coeffs)
     g = _ugcd_monic(coeffs, d)
     if len(g) > 1:
-        coeffs = _uexact_div(coeffs, g)
+        coeffs, r = _udivmod(coeffs, g)
+        if r:
+            raise PolyError("univariate division not exact")
     if len(coeffs) == 1:
         return 0
     chain = [coeffs, _uderiv(coeffs)]
     while len(chain[-1]) > 1:
-        r = _urem(chain[-2], chain[-1])
+        r = _udivmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append([-c for c in r])
@@ -632,7 +555,7 @@ def sturm_count(p, interval=(None, None)):
         signs = []
         for q in chain:
             if at_inf == 0:
-                s = sign_of(_ueval(q, x))
+                s = sign_of(eval_rational(q, x))
             else:
                 s = sign_of(q[-1])
                 if at_inf < 0 and (len(q) - 1) % 2 == 1:

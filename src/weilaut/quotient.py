@@ -7,7 +7,7 @@ Coefficients are rational.
 
 from itertools import combinations
 
-from .poly import Polynomial, PolyError
+from .poly import Polynomial, PolyError, monomials
 
 
 class IdealPresentation:
@@ -45,21 +45,6 @@ def _divides(e1, e2):
 
 def _lcm_exps(e1, e2):
     return tuple(max(a, b) for a, b in zip(e1, e2))
-
-
-def _truncation_monomials(ring, r):
-    n = len(ring.vars)
-    out = []
-
-    def rec(prefix, left, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [left]))
-            return
-        for k in range(left + 1):
-            rec(prefix + [k], left - k, slots - 1)
-
-    rec([], r + 1, n)
-    return [ring.monomial(e) for e in out]
 
 
 def _reduce(p, basis):
@@ -107,7 +92,7 @@ def buchberger(ideal, ring=None):
     r = ideal.truncation_order
     gens = [g if g.ring is ring else Polynomial(ring, dict(g.terms)) for g in ideal.generators]
     basis = []
-    for g in gens + _truncation_monomials(ring, r):
+    for g in gens + [ring.monomial(e) for e in monomials(len(ring.vars), r + 1, r + 1)]:
         g = _reduce(g, basis)
         if g:
             basis.append(g.monic())
@@ -160,24 +145,11 @@ def standard_monomials(gb, r=None):
     ring = gb.ring
     if r is None:
         r = gb.truncation_order
-    out = []
-    n = len(ring.vars)
-    key = ring.order.key
-
-    def rec(prefix, left, slots, acc):
-        if slots == 1:
-            for k in range(left + 1):
-                acc.append(tuple(prefix + [k]))
-            return
-        for k in range(left + 1):
-            rec(prefix + [k], left - k, slots - 1, acc)
-
-    acc = []
-    rec([], r, n, acc)
-    for e in acc:
-        if sum(e) <= r and not any(_divides(le, e) for le in gb._leads):
-            out.append(e)
-    out.sort(key=key)
+    out = [
+        e for e in monomials(len(ring.vars), 0, r)
+        if not any(_divides(le, e) for le in gb._leads)
+    ]
+    out.sort(key=ring.order.key)
     return out
 
 
@@ -191,19 +163,6 @@ def nf_table(gb, r=None):
     ring = gb.ring
     if r is None:
         r = gb.truncation_order
-    table = {}
-    n = len(ring.vars)
-
-    def rec(prefix, left, slots, acc):
-        if slots == 1:
-            for k in range(left + 1):
-                acc.append(tuple(prefix + [k]))
-            return
-        for k in range(left + 1):
-            rec(prefix + [k], left - k, slots - 1, acc)
-
-    acc = []
-    rec([], 2 * r, n, acc)
-    for e in acc:
-        table[e] = normal_form(ring.monomial(e), gb)
-    return table
+    return {
+        e: normal_form(ring.monomial(e), gb) for e in monomials(len(ring.vars), 0, 2 * r)
+    }

@@ -9,10 +9,10 @@ serialization round-trip exactly.
 import json
 
 from .endo import (
+    SymbolicMatrix,
     constraint_system,
     extend_to_matrix,
     generic_endo,
-    lift_to_field,
     substitute,
 )
 from .published import build_discrepancies, match_reference_family, reference_for
@@ -96,11 +96,15 @@ def family_determinants(endo, fam):
 
     A family preserves m > m^2 > ..., so M is block upper-triangular along
     the graded pieces m^d/m^(d+1): det M is the product of the diagonal
-    blocks' determinants and det M1 is that of the first block.
+    blocks' determinants and det M1 is that of the first block. A family
+    over an extension field has its bindings in its own ring, so M is
+    lifted into that ring first.
     """
     full = extend_to_matrix(endo)
-    if fam.ring.domain is not endo.ring.domain:
-        full = lift_to_field(full, fam.ring.domain)
+    ring = fam.ring
+    if ring is not endo.ring:
+        lifted = [[ring.lift(p) for p in row] for row in full.entries]
+        full = SymbolicMatrix(ring, lifted, full.labels)
     full = substitute(full, fam.bindings)
     pieces = endo.algebra.graded_pieces()
     return {

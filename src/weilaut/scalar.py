@@ -46,10 +46,10 @@ def _umul(a, b):
 
 
 def _udivmod(a, b):
-    # exact over a field; b != 0
+    """Quotient and remainder of coefficient lists over a field; b != 0."""
     a = list(a)
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
+    inv = field_div(1, b[-1])
     while len(a) >= len(b) and a:
         k = len(a) - len(b)
         f = a[-1] * inv
@@ -61,7 +61,7 @@ def _udivmod(a, b):
 
 
 def eval_rational(coeffs, x):
-    """Horner evaluation of a coefficient list at a rational point."""
+    """Horner evaluation of a coefficient list at a rational or field point."""
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -287,29 +287,10 @@ class FieldElement:
         return poly_str(self.coeffs, self.field.gen_name)
 
 
-def field_arith(a, b, op):
-    """Exact field arithmetic on two elements of the same field.
-
-    op is one of add, sub, mul, div. Plain rationals count as elements of Q.
-    """
-    ra = isinstance(a, (int, Fraction))
-    rb = isinstance(b, (int, Fraction))
-    if not ra and not rb and a.field.minpoly != b.field.minpoly:
-        raise FieldError("operands from different fields")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if not b:
-            raise ZeroDivisionError("division by zero")
-        if rb:
-            b = Fraction(b)
-            return a / b if ra else a * (1 / b)
-        return a / b
-    raise ValueError("unknown op %r" % (op,))
+def field_div(a, b):
+    """a / b for scalars of one field: ints, Fractions or FieldElements."""
+    inv = b.inverse() if isinstance(b, FieldElement) else 1 / Fraction(b)
+    return a * inv
 
 
 def sign_of(a):

@@ -12,9 +12,10 @@ when it collapses to zero.
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .scalar import QQ, ExtensionField, FieldElement, kth_root_in_field, sign_of
+from .scalar import QQ, ExtensionField, FieldElement, eval_rational, field_div
+from .scalar import kth_root_in_field, sign_of
 from .poly import Polynomial, PolyError, PolyRing, resultant, sturm_count, univariate_coeffs
-from .poly import _ueval, _ugcd_monic
+from .poly import _ugcd_monic
 
 NONDEG_VANISHED = "nondegeneracy-vanished"
 INCONSISTENT = "inconsistent-constants"
@@ -189,21 +190,6 @@ def _bind(br, name, value, atom):
     return out
 
 
-def _lift_branch(br, field):
-    ring = PolyRing(br.ring.vars, field)
-    conv = lambda p: p.map_coeffs(field.coerce, ring)
-    out = Branch(
-        ring,
-        [conv(p) for p in br.equations],
-        conv(br.nondeg),
-        {k: conv(v) for k, v in br.bindings.items()},
-        [conv(g) for g in br.guards],
-        br.path,
-        br.splits,
-    )
-    return out
-
-
 def _is_prime(k):
     if k < 2:
         return False
@@ -259,7 +245,7 @@ def _rule_power_bind(br):
             i, a, j, b = j, b, i, a
         earlier, later = br.ring.vars[i], br.ring.vars[j]
         # later^k = d * earlier^k
-        d = -a / b if isinstance(a, FieldElement) or isinstance(b, FieldElement) else Fraction(-a, 1) / b
+        d = field_div(-a, b)
         root = kth_root_in_field(domain, d, k)
         if root is not None:
             value = br.ring.var(earlier) * root
@@ -275,9 +261,18 @@ def _rule_power_bind(br):
         field = ExtensionField(
             tuple([-mag] + [0] * (k - 1) + [1]), (Fraction(0), mag + 1)
         )
-        lifted = _lift_branch(br, field)
+        ring = PolyRing(br.ring.vars, field)
+        lifted = Branch(
+            ring,
+            [ring.lift(p) for p in br.equations],
+            ring.lift(br.nondeg),
+            {k: ring.lift(v) for k, v in br.bindings.items()},
+            [ring.lift(g) for g in br.guards],
+            br.path,
+            br.splits,
+        )
         sign = -1 if d < 0 else 1
-        value = lifted.ring.var(src) * (field.gen() * sign)
+        value = ring.var(src) * (field.gen() * sign)
         atom = "adjoin c, c^%d = %s; %s = %r" % (k, mag, dst, value)
         return _bind(lifted, dst, value, atom)
     return None
@@ -523,14 +518,11 @@ def _exact_real_roots(p, var):
     candidates = set()
     if len(coeffs) == 2:
         c0, c1 = coeffs
-        inv = c1.inverse() if isinstance(c1, FieldElement) else 1 / Fraction(c1)
-        candidates.add(-c0 * inv)
+        candidates.add(field_div(-c0, c1))
     elif all(not c for c in coeffs[1:-1]):
         # a*u^m + b
         m = len(coeffs) - 1
-        c0, cm = coeffs[0], coeffs[-1]
-        inv = cm.inverse() if isinstance(cm, FieldElement) else 1 / Fraction(cm)
-        t = -c0 * inv
+        t = field_div(-coeffs[0], coeffs[-1])
         r = kth_root_in_field(p.ring.domain, t, m)
         if r is not None:
             candidates.add(r)
@@ -548,7 +540,7 @@ def _exact_real_roots(p, var):
                     candidates.add(Fraction(dn, dd))
                     candidates.add(Fraction(-dn, dd))
     for r in candidates:
-        if not _ueval(coeffs, r):
+        if not eval_rational(coeffs, r):
             roots.append(r)
     dedup = []
     for r in _root_sort_key(roots):

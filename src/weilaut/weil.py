@@ -10,7 +10,7 @@ and symbolic endomorphism images.
 from fractions import Fraction
 
 from .scalar import QQ
-from .poly import PolyRing, Polynomial, PolyError
+from .poly import PolyRing, Polynomial, monomials
 from .quotient import IdealPresentation, buchberger, normal_form, standard_monomials, nf_table
 from .linalg import rref
 
@@ -117,7 +117,6 @@ class WeilAlgebra:
         "basis",
         "dim",
         "basis_index",
-        "structure",
         "structure_pairs",
         "nil_indices",
         "nil_power_indices",
@@ -196,10 +195,6 @@ def structure_product(algebra, u, v, zero):
     return [zero if x is None else x for x in out]
 
 
-def multiply(algebra, a, b):
-    return a * b
-
-
 def build_algebra(spec):
     ring = spec.ring
     ideal = IdealPresentation(ring, spec.relations, spec.order)
@@ -215,26 +210,13 @@ def build_algebra(spec):
     alg.dim = len(basis)
     alg.basis_index = {e: i for i, e in enumerate(basis)}
     table = nf_table(gb)
-    structure = []
     pairs_table = []
     for ei in basis:
-        row = []
         prow = []
         for ej in basis:
-            prod = tuple(a + b for a, b in zip(ei, ej))
-            nf = table[prod]
-            coords = [Fraction(0)] * alg.dim
-            pairs = []
-            for e, c in nf.terms.items():
-                k = alg.basis_index[e]
-                coords[k] = c
-                pairs.append((k, c))
-            pairs.sort()
-            row.append(tuple(coords))
-            prow.append(tuple(pairs))
-        structure.append(tuple(row))
+            nf = table[tuple(a + b for a, b in zip(ei, ej))]
+            prow.append(tuple(sorted((alg.basis_index[e], c) for e, c in nf.terms.items())))
         pairs_table.append(tuple(prow))
-    alg.structure = tuple(structure)
     alg.structure_pairs = tuple(pairs_table)
     alg.nil_indices = tuple(range(1, alg.dim))
 
@@ -243,7 +225,7 @@ def build_algebra(spec):
     npi = []
     for s in range(1, r + 2):
         rows = []
-        for e in _monomials_between(len(ring.vars), s, r):
+        for e in monomials(len(ring.vars), s, r):
             nf = table.get(e)
             if nf is None:
                 nf = normal_form(ring.monomial(e), gb)
@@ -271,43 +253,3 @@ def build_algebra(spec):
     if len(npi) >= 2 and (set(npi[1]) & deg1):
         raise WeilError("a degree-one basis element lies in the square of the nilradical")
     return alg
-
-
-def _monomials_between(nvars, lo, hi):
-    out = []
-
-    def rec(prefix, left, slots):
-        if slots == 1:
-            for k in range(left + 1):
-                e = tuple(prefix + [k])
-                if sum(e) >= lo:
-                    out.append(e)
-            return
-        for k in range(left + 1):
-            rec(prefix + [k], left - k, slots - 1)
-
-    rec([], hi, nvars)
-    return out
-
-
-def nil_quotient_projection(algebra):
-    """Basis of n/n^2 plus the projection matrix from n coordinates."""
-    deg1 = algebra.degree_one_indices()
-    nil = list(algebra.nil_indices)
-    sq = set(algebra.nil_power_indices[1]) if len(algebra.nil_power_indices) >= 2 else set()
-    rows = []
-    for i in nil:
-        row = []
-        for j in deg1:
-            row.append(Fraction(1) if i == j else Fraction(0))
-        rows.append(row)
-    for i in nil:
-        if sum(algebra.basis[i]) >= 2 and i not in sq:
-            # degree >= 2 basis elements outside n^2 would make the
-            # coordinate projection wrong; not the case for shipped algebras
-            raise WeilError("nilradical is not generated in degree one")
-    return {
-        "quotient_basis": [algebra.ring.monomial_str(algebra.basis[i]) for i in deg1],
-        "quotient_indices": list(deg1),
-        "matrix": rows,
-    }

@@ -10,11 +10,9 @@ from weilaut.endo import (
     compose,
     constraint_system,
     deg1_block,
-    determinants,
     extend_to_matrix,
     generic_endo,
     identity_bindings,
-    lift_to_field,
     linear_matrix,
     nil_block,
     numeric_instantiate,
@@ -23,8 +21,8 @@ from weilaut.endo import (
     unknown_names,
 )
 from weilaut.linalg import bareiss_determinant, identity_matrix
-from weilaut.scalar import QQ, ExtensionField
-from weilaut.poly import PolyRing
+from weilaut.scalar import QQ, ExtensionField, FieldElement
+from weilaut.poly import PolyError, PolyRing
 from weilaut.specdata import spec_path
 
 
@@ -90,13 +88,11 @@ def test_determinants_tangent2_families(tangent2):
     m = extend_to_matrix(e)
     m1 = linear_matrix(e)
     first = substitute(m, {"B": 0, "D": 0})
-    rep = determinants(first, substitute(m1, {"B": 0, "D": 0}))
-    assert repr(rep.det_full) == "A^2*E^2"
-    assert repr(rep.det_linear) == "A*E"
+    assert repr(first.det()) == "A^2*E^2"
+    assert repr(substitute(m1, {"B": 0, "D": 0}).det()) == "A*E"
     second = substitute(m, {"A": 0, "E": 0})
-    rep2 = determinants(second, substitute(m1, {"A": 0, "E": 0}))
-    assert repr(rep2.det_full) == "-B^2*D^2"
-    assert repr(rep2.det_linear) == "-B*D"
+    assert repr(second.det()) == "-B^2*D^2"
+    assert repr(substitute(m1, {"A": 0, "E": 0}).det()) == "-B*D"
 
 
 def test_printed_product_criterion_is_not_the_endo_criterion(tangent2):
@@ -194,9 +190,8 @@ def test_quartic_matrix_rows(quartic):
     mf = substitute(m, fam)
     diag = [repr(p) for p in mf.diagonal()]
     assert diag == ["A", "A", "A^2", "A^2", "A^2", "A^3", "A^3", "A^3", "A^4"]
-    rep = determinants(mf, substitute(linear_matrix(e), fam))
-    assert repr(rep.det_full) == "A^21"
-    assert repr(rep.det_linear) == "A^2"
+    assert repr(mf.det()) == "A^21"
+    assert repr(substitute(linear_matrix(e), fam).det()) == "A^2"
     # spot entries away from the diagonal
     assert repr(mf.entry("X", "X^3")) == "F"
     assert repr(m.entry("X^2", "X^4")) == "2*A*F + 2*B*H + C^2 + 2*D*E"
@@ -264,9 +259,13 @@ def test_lift_to_field(quartic):
     e = generic_endo(quartic)
     sys_ = constraint_system(e)
     field = ExtensionField((-4, 0, 0, 1), (1, 2))
-    lifted = lift_to_field(sys_, field)
-    assert lifted.ring.domain is field
-    assert repr(lifted.equations[0]) == repr(sys_.equations[0])
+    ring = PolyRing(e.ring.vars, field)
+    lifted = ring.lift(sys_.equations[0])
+    assert lifted.ring is ring
+    assert repr(lifted) == repr(sys_.equations[0])
+    assert all(isinstance(c, FieldElement) for c in lifted.terms.values())
+    with pytest.raises(PolyError):
+        ring.lift(PolyRing(("A", "B"), QQ).var("A"))
 
 
 def test_one_variable_algebra():
@@ -279,3 +278,14 @@ def test_one_variable_algebra():
     sys_ = constraint_system(e)
     assert sys_.equations == []
     assert repr(sys_.nondegeneracy[0]) == "A"
+
+
+def test_monomial_images_symbolic_equal_numeric(quartic):
+    # the symbolic rows, evaluated at a point, are the numeric rows there
+    rng = random.Random(54)
+    e = generic_endo(quartic)
+    vals = {u: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for u in e.unknowns}
+    n = numeric_instantiate(e, vals)
+    sym = [[p.evaluate(vals) for p in e.image_of_monomial(b)] for b in quartic.basis]
+    assert sym == n.matrix
+    assert sym[0] == [1] + [0] * (quartic.dim - 1)

@@ -13,16 +13,19 @@ import pytest
 
 import weilaut
 from weilaut.endo import (
+    SymbolicMatrix,
     extend_to_matrix,
     generic_endo,
-    lift_to_field,
     linear_matrix,
     substitute,
 )
 from weilaut.linalg import LinalgError, bareiss_determinant, filtered_determinant
 from weilaut.parsing import parse_polynomial, parse_specfile
+from weilaut.poly import PolyRing
 from weilaut.published import QUARTIC
 from weilaut.report import analyze, family_determinants
+from weilaut.scalar import ExtensionField
+from weilaut.solver import SolutionFamily
 from weilaut.specdata import spec_path
 from weilaut.weil import build_algebra
 
@@ -54,12 +57,11 @@ def reversed_precedence(spec):
 def family_matrices(analysis, fam):
     """The nil-block matrix and the degree-one matrix on one family."""
     endo = analysis.endo
-    full = extend_to_matrix(endo)
-    lin = linear_matrix(endo)
-    if fam.ring.domain is not endo.ring.domain:
-        full = lift_to_field(full, fam.ring.domain)
-        lin = lift_to_field(lin, fam.ring.domain)
-    return substitute(full, fam.bindings), substitute(lin, fam.bindings)
+    out = []
+    for m in (extend_to_matrix(endo), linear_matrix(endo)):
+        lifted = [[fam.ring.lift(p) for p in row] for row in m.entries]
+        out.append(substitute(SymbolicMatrix(fam.ring, lifted, m.labels), fam.bindings))
+    return tuple(out)
 
 
 @pytest.mark.parametrize("flip", (False, True), ids=("shipped", "reversed"))
@@ -150,3 +152,28 @@ def test_blocks_must_partition_the_matrix():
         filtered_determinant(rows, pieces[:-1], div)
     with pytest.raises(LinalgError):
         filtered_determinant(rows, pieces + (pieces[0],), div)
+
+
+def test_family_over_an_extension_field_reports_its_determinants():
+    # tangent2's first family, its bindings mapped into Q(cbrt 4): the
+    # determinants are the rational family's, lifted into the family's ring
+    analysis = analyze(load("tangent2"))
+    fam = analysis.result.families[0]
+    ring = PolyRing(fam.ring.vars, ExtensionField((-4, 0, 0, 1), (1, 2)))
+    lifted = SolutionFamily(
+        fam.path,
+        ring,
+        {k: ring.lift(v) for k, v in fam.bindings.items()},
+        fam.free,
+        fam.nonzero,
+        [ring.lift(p) for p in fam.conditions],
+        ring.lift(fam.nondeg_value),
+    )
+    assert fam.bindings and fam.ring.domain is not ring.domain
+    want = family_determinants(analysis.endo, fam)
+    assert want["full"] == "-B^2*D^2" and want["linear"] == "-B*D"
+    assert family_determinants(analysis.endo, lifted) == want
+    full, lin = family_matrices(analysis, lifted)
+    assert full.ring is ring
+    assert full.det() == ring.lift(parse_polynomial(want["full"], fam.ring))
+    assert lin.det() == ring.lift(parse_polynomial(want["linear"], fam.ring))

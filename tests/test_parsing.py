@@ -4,7 +4,7 @@ import pytest
 
 from weilaut.parsing import parse_specfile, parse_polynomial, parse_bindings, ParseError
 from weilaut.poly import PolyRing
-from weilaut.scalar import QQ
+from weilaut.scalar import QQ, ExtensionField
 
 
 def test_parse_basic_block():
@@ -44,6 +44,9 @@ def test_polynomial_syntax():
     assert parse_polynomial("-X + (2)(Y)", ring) == -X + 2 * Y
     assert parse_polynomial("X - -Y", ring) == X + Y
     assert parse_polynomial("0", ring).is_zero()
+    # over an extension field the divisor's constant is a field element
+    cbrt4 = PolyRing(("X", "Y"), ExtensionField((-4, 0, 0, 1), (1, 2)))
+    assert parse_polynomial("3/2 X", cbrt4) == cbrt4.var("X") * Fraction(3, 2)
 
 
 def test_parse_errors_carry_position():

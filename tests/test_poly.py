@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from weilaut.poly import PolyRing, PolyError, leading_term, resultant, sturm_count, univariate_coeffs
+from weilaut.poly import PolyRing, PolyError, monomials, resultant, sturm_count, univariate_coeffs
 from weilaut.scalar import QQ, ExtensionField
 from oracles import (
     sylvester_resultant_oracle,
@@ -25,17 +26,21 @@ def test_leading_term_precedence():
     r = xy_ring()
     X, Y = r.var("X"), r.var("Y")
     p = X**3 - Y**3
-    exps, c = leading_term(p)
+    exps, c = p.leading()
     assert exps == (3, 0) and c == 1
 
     ryx = xy_ring(precedence=("Y", "X"))
     p2 = ryx.var("X") ** 3 - ryx.var("Y") ** 3
-    exps, c = leading_term(p2)
+    exps, c = p2.leading()
     assert exps == (0, 3) and c == -1
 
     q = X**2 + X * Y
-    exps, c = leading_term(q)
+    exps, c = q.leading()
     assert exps == (2, 0) and c == 1
+    exps, c = (ryx.var("X") ** 2 + ryx.var("X") * ryx.var("Y")).leading()
+    assert exps == (1, 1) and c == 1
+    with pytest.raises(PolyError):
+        r.zero().leading()
 
 
 def rand_poly(rng, ring, maxdeg=3, nterms=4):
@@ -323,16 +328,14 @@ def test_sturm_extension_coefficients():
     assert sturm_count(x - c, (Fraction(2), None)) == 0
 
 
-def test_mul_capped():
-    rng = random.Random(28)
-    r = xy_ring()
-    for _ in range(10):
-        a = rand_poly(rng, r)
-        b = rand_poly(rng, r)
-        full = a * b
-        assert a.mul_capped(b, 12) == full
-        capped = a.mul_capped(b, 2)
-        assert capped == r.poly({e: c for e, c in full.terms.items() if sum(e) <= 2})
+def test_monomials_match_a_product_filter():
+    for nvars in (1, 2, 3):
+        for lo, hi in ((0, 0), (0, 3), (2, 4), (3, 3), (1, 6), (4, 2)):
+            want = [
+                e for e in itertools.product(range(hi + 1), repeat=nvars)
+                if lo <= sum(e) <= hi
+            ]
+            assert monomials(nvars, lo, hi) == want
 
 
 def test_coeffs_in_and_derivative():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from weilaut.scalar import (ExtensionField, FieldError, QQ, field_arith,
+from weilaut.scalar import (ExtensionField, FieldError, QQ, _udivmod, field_div,
                             kth_root_in_field, rational_kth_root, sign_of)
 
 
@@ -12,10 +12,13 @@ def cbrt4_field():
 
 
 def test_rational_arithmetic():
-    assert field_arith(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
-    assert field_arith(Fraction(1, 2), Fraction(1, 3), "div") == Fraction(3, 2)
+    assert field_div(Fraction(1, 2), Fraction(1, 3)) == Fraction(3, 2)
+    assert field_div(1, 4) == Fraction(1, 4)
+    assert isinstance(field_div(1, 4), Fraction)
     with pytest.raises(ZeroDivisionError):
-        field_arith(Fraction(1), Fraction(0), "div")
+        field_div(Fraction(1), Fraction(0))
+    with pytest.raises(ZeroDivisionError):
+        field_div(1, cbrt4_field().zero())
 
 
 def test_qq_coerce_is_bare_fraction():
@@ -42,7 +45,7 @@ def test_mixed_fields_error():
     F = cbrt4_field()
     G = ExtensionField((-2, 0, 1), (1, 2))
     with pytest.raises(FieldError):
-        field_arith(F.gen(), G.gen(), "add")
+        F.gen() + G.gen()
 
 
 def test_sign_of_zero_and_simple():
@@ -81,7 +84,9 @@ def test_field_axioms_randomized():
         assert a * (b + c) == a * b + a * c
         if a:
             assert a * a.inverse() == F.one()
-            assert field_arith(b, a, "div") * a == b
+            assert b / a * a == b
+            assert field_div(b, a) == b / a
+            assert field_div(1, a) * a == F.one()
 
 
 def test_sign_multiplicative_randomized():
@@ -121,3 +126,33 @@ def test_kth_root_in_field():
     assert kth_root_in_field(F, 5, 3) is None
     assert kth_root_in_field(QQ, Fraction(27, 8), 3) == Fraction(3, 2)
     assert kth_root_in_field(QQ, 2, 2) is None
+
+
+def schoolbook_divmod(a, b):
+    """Long division by hand, one quotient coefficient per step from the top."""
+    r = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        f = r[k + len(b) - 1] / b[-1]
+        q[k] = f
+        for i, c in enumerate(b):
+            r[k + i] = r[k + i] - f * c
+    r = r[: len(b) - 1]
+    while q and not q[-1]:
+        q.pop()
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def test_udivmod_matches_schoolbook_division():
+    F = cbrt4_field()
+    rng = random.Random(13)
+    rational = lambda: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    for draw in (rational, lambda: rand_elem(F, rng)):
+        for _ in range(40):
+            a = [draw() for _ in range(rng.randint(0, 6))]
+            b = [draw() for _ in range(rng.randint(0, 3))] + [draw() or 1]
+            q, r = _udivmod(a, b)
+            assert (q, r) == schoolbook_divmod(a, b)
+            assert len(r) < len(b)

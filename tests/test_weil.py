@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from weilaut.weil import AlgebraSpec, WeilError, build_algebra, nil_quotient_projection
+from weilaut.weil import AlgebraSpec, WeilError, build_algebra
 from weilaut.quotient import normal_form
 from weilaut.parsing import parse_specfile
 import os
@@ -132,22 +132,6 @@ def test_graded_pieces():
     assert "X^2" in by_piece[2]
     assert "X^2" not in by_piece[1]
     assert point.graded_pieces() == ()
-
-
-def test_nil_quotient_projection():
-    alg = tangent2()
-    proj = nil_quotient_projection(alg)
-    assert proj["quotient_basis"] == ["X", "Y"]
-    assert proj["matrix"] == [[1, 0], [0, 1], [0, 0]]
-
-    alg2 = quartic()
-    proj2 = nil_quotient_projection(alg2)
-    assert proj2["quotient_basis"] == ["X", "Y"]
-
-    flat = build_algebra(AlgebraSpec("flat", ("X", "Y"), 1, [], precedence=("Y", "X")))
-    proj3 = nil_quotient_projection(flat)
-    assert proj3["quotient_basis"] == ["X", "Y"]
-    assert proj3["matrix"] == [[1, 0], [0, 1]]
 
 
 def test_spec_validation():
