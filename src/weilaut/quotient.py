@@ -154,15 +154,13 @@ def standard_monomials(gb, r=None):
 
 
 def nf_table(gb, r=None):
-    """Normal form of every monomial of degree <= truncation bound.
+    """Normal form of every monomial of degree <= r (the truncation order).
 
     Returns a dict exponent tuple -> Polynomial supported on standard
-    monomials. Covers degrees up to r + 1 so products of basis monomials can
-    be reduced by table lookup.
+    monomials. Every monomial of degree >= r + 1 lies in the ideal, so a
+    product of basis monomials missing from the table is zero.
     """
     ring = gb.ring
     if r is None:
         r = gb.truncation_order
-    return {
-        e: normal_form(ring.monomial(e), gb) for e in monomials(len(ring.vars), 0, 2 * r)
-    }
+    return {e: normal_form(ring.monomial(e), gb) for e in monomials(len(ring.vars), 0, r)}

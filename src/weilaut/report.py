@@ -96,9 +96,10 @@ def family_determinants(endo, fam):
 
     A family preserves m > m^2 > ..., so M is block upper-triangular along
     the graded pieces m^d/m^(d+1): det M is the product of the diagonal
-    blocks' determinants and det M1 is that of the first block. A family
-    over an extension field has its bindings in its own ring, so M is
-    lifted into that ring first.
+    blocks' determinants. det M1, the first block's, is the solver's
+    invertibility polynomial after the family's bindings. A family over an
+    extension field has its bindings in its own ring, so M is lifted into
+    that ring first.
     """
     full = extend_to_matrix(endo)
     ring = fam.ring
@@ -106,10 +107,9 @@ def family_determinants(endo, fam):
         lifted = [[ring.lift(p) for p in row] for row in full.entries]
         full = SymbolicMatrix(ring, lifted, full.labels)
     full = substitute(full, fam.bindings)
-    pieces = endo.algebra.graded_pieces()
     return {
-        "full": repr(full.det(pieces)),
-        "linear": repr(full.block(pieces[0] if pieces else ()).det()),
+        "full": repr(full.det(endo.algebra.graded_pieces())),
+        "linear": repr(fam.nondeg_value),
         "diagonal": [repr(p) for p in full.diagonal()],
     }
 

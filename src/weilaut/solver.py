@@ -3,14 +3,16 @@
 A branch carries the residual equations, the accumulated bindings, and the
 nonzero hypotheses (guards) introduced by case splits. Deterministic rules
 shrink a branch (substituting forced bindings); splitting rules fan out into
-complementary subcases; small residual systems are finished off exactly with
-resultants and Sturm counts. Guards arise only from split complements, never
-from the invertibility requirement, which instead kills a branch outright
-when it collapses to zero.
+complementary subcases, each described by a spec (path atoms, guards,
+binding) that _child turns into a branch; small residual systems are
+finished off exactly with resultants and Sturm counts. Guards arise only
+from split complements, never from the invertibility requirement, which
+instead kills a branch outright when it collapses to zero.
 """
 
 from fractions import Fraction
 from functools import cmp_to_key
+from math import lcm
 
 from .scalar import QQ, ExtensionField, FieldElement, eval_rational, field_div
 from .scalar import kth_root_in_field, sign_of
@@ -166,19 +168,14 @@ def _push_guard(g, guards, seen):
         guards.append(g)
 
 
-def _with_guards(br, extra):
-    out = br.copy()
-    seen = {repr(g) for g in out.guards}
-    for g in extra:
-        _push_guard(g, out.guards, seen)
-    return out
+def _bind(br, name, value, *atoms):
+    """Substitute name := value everywhere and append atoms to the path.
 
-
-def _bind(br, name, value, atom):
-    """Substitute name := value everywhere; transfers guards on name."""
+    Guards on name are transferred.
+    """
     sub = {name: value}
     out = br.copy()
-    out.path = br.path + (atom,)
+    out.path = br.path + atoms
     out.bindings = {k: v.substitute(sub) for k, v in br.bindings.items()}
     out.bindings[name] = value
     out.equations = [p.substitute(sub) for p in br.equations]
@@ -188,6 +185,28 @@ def _bind(br, name, value, atom):
     for g in br.guards:
         _push_guard(g.substitute(sub), out.guards, seen)
     return out
+
+
+def _child(br, path, guards, bind):
+    """The one maker of split children: br on the given path, under the
+    hypotheses g != 0 for g in guards, then the binding (name, value) if any."""
+    child = br.copy()
+    child.splits += 1
+    child.path = path
+    if guards:
+        seen = {repr(g) for g in child.guards}
+        for g in guards:
+            _push_guard(g, child.guards, seen)
+    return child if bind is None else _bind(child, *bind)
+
+
+def _residual(br, reason):
+    return Residual(br.path, reason, br.equations, br.bindings, br.guards)
+
+
+def _invertible(c, guard_vars):
+    """Whether the coefficient c is a nonzero constant or a guarded monomial."""
+    return c.is_constant() or (len(c.terms) == 1 and c.vars_used() <= guard_vars)
 
 
 def _is_prime(k):
@@ -288,17 +307,14 @@ def _rule_linear_bind(br):
             cf = p.coeffs_in(u)
             lead = cf[1]
             rest = cf.get(0, br.ring.zero())
-            if lead.is_constant():
-                unit = 0
-            elif len(lead.terms) == 1 and all(v in guard_vars for v in lead.vars_used()):
-                unit = 1
-            else:
+            if not _invertible(lead, guard_vars):
                 continue
             try:
                 value = (-rest).exact_div(lead)
             except PolyError:
                 continue
-            candidates.append((unit, -br.ring.index[u], pos, u, value))
+            # constant leads first, then the latest unknown, then the first equation
+            candidates.append((not lead.is_constant(), -br.ring.index[u], pos, u, value))
     if not candidates:
         return None
     candidates.sort(key=lambda t: t[:3])
@@ -320,38 +336,24 @@ def _simplify(br):
 
 
 def _split_content(br):
-    for pos, p in enumerate(br.equations):
+    """Split u1*...*uk*w = 0 into the cases u1 = 0 | u1 != 0, u2 = 0 | ...
+    | all ui != 0, w = 0."""
+    for p in br.equations:
         ce = p.content_exps()
         if not any(ce):
             continue
         us = [br.ring.vars[i] for i, e in enumerate(ce) if e]
-        w = p.divide_monomial(ce).primitive()
-        rest = br.equations[:pos] + br.equations[pos + 1 :]
-        makers = []
+        specs = []
         for i, u in enumerate(us):
             prior = us[:i]
-            atoms = tuple("%s != 0" % v for v in prior)
-
-            def make(u=u, prior=prior, atoms=atoms):
-                child = br.copy()
-                child.equations = list(rest)
-                child.splits = br.splits + 1
-                child.path = br.path + atoms
-                child = _with_guards(child, [br.ring.var(v) for v in prior])
-                return _bind(child, u, br.ring.zero(), "%s = 0" % u)
-
-            makers.append((br.path + atoms + ("%s = 0" % u,), make))
+            atoms = tuple("%s != 0" % v for v in prior) + ("%s = 0" % u,)
+            specs.append((atoms, [br.ring.var(v) for v in prior], (u, br.ring.zero())))
+        w = p.divide_monomial(ce).primitive()
         if not w.is_constant():
-
-            def make_rest():
-                child = br.copy()
-                child.equations = rest + [w]
-                child.splits = br.splits + 1
-                child.path = br.path + ("%s != 0; %r = 0" % (", ".join(us), w),)
-                return _with_guards(child, [br.ring.var(v) for v in us])
-
-            makers.append((br.path + ("%s != 0; %r = 0" % (", ".join(us), w),), make_rest))
-        return makers
+            # once every ui is guarded, normalization strips p down to w
+            atom = "%s != 0; %r = 0" % (", ".join(us), w)
+            specs.append(((atom,), [br.ring.var(v) for v in us], None))
+        return specs
     return None
 
 
@@ -386,10 +388,7 @@ def _split_quadratic(br):
             P = cf[2]
             Q = cf.get(1, br.ring.zero())
             R = cf.get(0, br.ring.zero())
-            invertible = P.is_constant() or (
-                len(P.terms) == 1 and all(v in guard_vars for v in P.vars_used())
-            )
-            if not invertible:
+            if not _invertible(P, guard_vars):
                 continue
             disc = Q * Q - br.ring.const(4) * P * R
             s = _poly_sqrt(disc)
@@ -400,38 +399,30 @@ def _split_quadratic(br):
                 minus = (-Q - s).exact_div(two * P)
             except PolyError:
                 continue
-            makers = []
-
-            def make_plus(u=u, plus=plus):
-                child = br.copy()
-                child.splits = br.splits + 1
-                return _bind(child, u, plus, "%s = %r" % (u, plus))
-
-            makers.append((br.path + ("%s = %r" % (u, plus),), make_plus))
+            specs = [(("%s = %r" % (u, plus),), [], (u, plus))]
             if not s.is_zero():
-                atoms = ("%r != 0" % s,)
-
-                def make_minus(u=u, minus=minus, s=s, atoms=atoms):
-                    child = br.copy()
-                    child.splits = br.splits + 1
-                    child.path = br.path + atoms
-                    child = _with_guards(child, [s])
-                    return _bind(child, u, minus, "%s = %r" % (u, minus))
-
-                makers.append((br.path + atoms + ("%s = %r" % (u, minus),), make_minus))
-            return makers
+                specs.append((("%r != 0" % s, "%s = %r" % (u, minus)), [s], (u, minus)))
+            return specs
     return None
 
 
-def _enumerate_candidates(pool, u):
-    """Exhaustive real candidates for u from equations in u alone, or None."""
-    g = _common_univariate(pool, u)
-    if g.is_constant():
-        raise ContradictionSignal(NO_REAL_SOLUTION, "equations in %s share no root" % u)
-    roots, complete = _exact_real_roots(g, u)
-    if not complete:
-        return None
-    return roots
+def _eliminate(equations, u, v):
+    """The pool of equations in u alone; v, unless None, is eliminated by one resultant.
+
+    Returns (pool, None), or (None, reason) when v cannot be eliminated.
+    """
+    if v is None:
+        return equations, None
+    with_v = [p for p in equations if p.degree_in(v) > 0]
+    without_v = [p for p in equations if p.degree_in(v) == 0]
+    if len(with_v) >= 2:
+        res = resultant(with_v[0], with_v[1], v)
+        if res.is_zero():
+            return None, "resultant in %s vanished" % v
+        return without_v + [res], None
+    if without_v:
+        return without_v, None
+    return None, "underdetermined pair in %s, %s" % (u, v)
 
 
 def _split_finite(br):
@@ -449,36 +440,18 @@ def _split_finite(br):
             if len(sub) >= 2 and any(p.degree_in(v) > 0 for p in sub):
                 plans.append((u, sub, v))
     for u, sub, v in plans:
-        if v is None:
-            pool = sub
-        else:
-            with_v = [p for p in sub if p.degree_in(v) > 0]
-            without_v = [p for p in sub if p.degree_in(v) == 0]
-            if len(with_v) >= 2:
-                res = resultant(with_v[0], with_v[1], v)
-                if res.is_zero():
-                    continue
-                pool = without_v + [res]
-            elif without_v:
-                pool = without_v
-            else:
-                continue
-        roots = _enumerate_candidates(pool, u)
-        if roots is None:
+        pool, reason = _eliminate(sub, u, v)
+        if reason:
             continue
-        makers = []
-        for r in roots:
-            atom = "%s = %s" % (u, r)
-
-            def make(u=u, r=r, atom=atom):
-                child = br.copy()
-                child.splits = br.splits + 1
-                return _bind(child, u, br.ring.const(r), atom)
-
-            makers.append((br.path + (atom,), make))
-        if not makers:
+        g = _common_univariate(pool, u)
+        if g.is_constant():
+            raise ContradictionSignal(NO_REAL_SOLUTION, "equations in %s share no root" % u)
+        roots, complete = _exact_real_roots(g, u)
+        if not complete:
+            continue
+        if not roots:
             raise ContradictionSignal(NO_REAL_SOLUTION, "no real value for %s" % u)
-        return makers
+        return [(("%s = %s" % (u, r),), [], (u, br.ring.const(r))) for r in roots]
     return None
 
 
@@ -495,11 +468,8 @@ def _divisors(n):
     return sorted(out)
 
 
-def _root_sort_key(roots):
-    def cmp(a, b):
-        return sign_of(a - b) if not isinstance(a, Fraction) or not isinstance(b, Fraction) else (a > b) - (a < b)
-
-    return sorted(roots, key=cmp_to_key(cmp))
+def _sorted_roots(roots):
+    return sorted(roots, key=cmp_to_key(lambda a, b: sign_of(a - b)))
 
 
 def _exact_real_roots(p, var):
@@ -514,7 +484,7 @@ def _exact_real_roots(p, var):
         roots.append(Fraction(0))
         coeffs = coeffs[low:]
     if len(coeffs) <= 1:
-        return _root_sort_key(roots), len(roots) == total
+        return _sorted_roots(roots), len(roots) == total
     candidates = set()
     if len(coeffs) == 2:
         c0, c1 = coeffs
@@ -529,9 +499,7 @@ def _exact_real_roots(p, var):
             if m % 2 == 0:
                 candidates.add(-r)
     if p.ring.domain is QQ:
-        den = 1
-        for c in coeffs:
-            den = den * Fraction(c).denominator // _gcd(den, Fraction(c).denominator)
+        den = lcm(*(Fraction(c).denominator for c in coeffs))
         ints = [int(Fraction(c) * den) for c in coeffs]
         a0, an = ints[0], ints[-1]
         if a0 and abs(a0) <= ROOT_BOUND and abs(an) <= ROOT_BOUND:
@@ -543,16 +511,10 @@ def _exact_real_roots(p, var):
         if not eval_rational(coeffs, r):
             roots.append(r)
     dedup = []
-    for r in _root_sort_key(roots):
+    for r in _sorted_roots(roots):
         if not any(not (r - q) for q in dedup):
             dedup.append(r)
     return dedup, len(dedup) == total
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _common_univariate(equations, var):
@@ -574,7 +536,9 @@ def _common_univariate(equations, var):
 def close_branch(br, _depth=0):
     """Finish a branch with at most two residual unknowns exactly.
 
-    Returns a list of leaves: families, contradictions, residuals.
+    Eliminates the later unknown v (if any) by a resultant, enumerates the
+    real roots of the earlier unknown u, and finishes each root's child the
+    same way. Returns a list of leaves: families, contradictions, residuals.
     """
     if not br.equations:
         return [make_family(br)]
@@ -583,88 +547,23 @@ def close_branch(br, _depth=0):
         vs |= p.vars_used()
     vs = sorted(vs, key=br.ring.index.get)
     if len(vs) > 2 or _depth > 3:
-        return [
-            Residual(
-                br.path,
-                "no finishing rule for %d unknowns" % len(vs),
-                br.equations,
-                br.bindings,
-                br.guards,
-            )
-        ]
-    if len(vs) == 1:
-        u = vs[0]
-        g = _common_univariate(br.equations, u)
-        if g.is_constant():
-            return [
-                Contradiction(br.path, NO_REAL_SOLUTION, "equations in %s share no root" % u)
-            ]
-        roots, complete = _exact_real_roots(g, u)
-        if not complete:
-            return [
-                Residual(
-                    br.path,
-                    "could not enumerate the roots of %r" % g,
-                    br.equations,
-                    br.bindings,
-                    br.guards,
-                )
-            ]
-        return _candidate_leaves(br, u, roots, _depth, "one unknown %s left" % u)
-    u, v = vs
-    with_v = [p for p in br.equations if p.degree_in(v) > 0]
-    without_v = [p for p in br.equations if p.degree_in(v) == 0]
-    if len(with_v) >= 2:
-        res = resultant(with_v[0], with_v[1], v)
-        if res.is_zero():
-            return [
-                Residual(
-                    br.path,
-                    "resultant in %s vanished" % v,
-                    br.equations,
-                    br.bindings,
-                    br.guards,
-                )
-            ]
-        pool = without_v + [res]
-    elif without_v:
-        pool = without_v
+        return [_residual(br, "no finishing rule for %d unknowns" % len(vs))]
+    u, v = vs[0], (vs[1] if len(vs) == 2 else None)
+    if v is None:
+        dead = "equations in %s share no root" % u
+        how = "one unknown %s left" % u
     else:
-        return [
-            Residual(
-                br.path,
-                "underdetermined pair in %s, %s" % (u, v),
-                br.equations,
-                br.bindings,
-                br.guards,
-            )
-        ]
+        dead = "eliminating %s leaves no real value for %s" % (v, u)
+        how = "eliminated %s by resultant, then solved for %s" % (v, u)
+    pool, reason = _eliminate(br.equations, u, v)
+    if reason:
+        return [_residual(br, reason)]
     g = _common_univariate(pool, u)
     if g.is_constant():
-        return [
-            Contradiction(
-                br.path,
-                NO_REAL_SOLUTION,
-                "eliminating %s leaves no real value for %s" % (v, u),
-            )
-        ]
+        return [Contradiction(br.path, NO_REAL_SOLUTION, dead)]
     roots, complete = _exact_real_roots(g, u)
     if not complete:
-        return [
-            Residual(
-                br.path,
-                "could not enumerate the roots of %r" % g,
-                br.equations,
-                br.bindings,
-                br.guards,
-            )
-        ]
-    return _candidate_leaves(
-        br, u, roots, _depth, "eliminated %s by resultant, then solved for %s" % (v, u)
-    )
-
-
-def _candidate_leaves(br, u, roots, depth, how):
+        return [_residual(br, "could not enumerate the roots of %r" % g)]
     leaves = []
     rejected = []
     for r in roots:
@@ -675,7 +574,7 @@ def _candidate_leaves(br, u, roots, depth, how):
             rejected.append("%s (%s)" % (atom, c.reason))
             continue
         if child.equations:
-            leaves.extend(close_branch(child, depth + 1))
+            leaves.extend(close_branch(child, _depth + 1))
         else:
             leaves.append(make_family(child))
     if leaves:
@@ -736,9 +635,7 @@ def solve(system, max_depth=24, branch_budget=BRANCH_BUDGET):
         br = queue.pop(0)
         spent += 1
         if spent > branch_budget:
-            residuals.append(
-                Residual(br.path, "branch budget exhausted", br.equations, br.bindings, br.guards)
-            )
+            residuals.append(_residual(br, "branch budget exhausted"))
             continue
         try:
             br = _simplify(br)
@@ -746,15 +643,13 @@ def solve(system, max_depth=24, branch_budget=BRANCH_BUDGET):
                 families.append(make_family(br))
                 continue
             if br.splits >= max_depth:
-                residuals.append(
-                    Residual(br.path, "branch depth limit", br.equations, br.bindings, br.guards)
-                )
+                residuals.append(_residual(br, "branch depth limit"))
                 continue
-            makers = _split_content(br) or _split_quadratic(br) or _split_finite(br)
+            specs = _split_content(br) or _split_quadratic(br) or _split_finite(br)
         except ContradictionSignal as c:
             contradictions.append(Contradiction(br.path, c.reason, c.detail))
             continue
-        if makers is None:
+        if specs is None:
             for leaf in close_branch(br):
                 if isinstance(leaf, SolutionFamily):
                     families.append(leaf)
@@ -763,9 +658,10 @@ def solve(system, max_depth=24, branch_budget=BRANCH_BUDGET):
                 else:
                     residuals.append(leaf)
             continue
-        for path, make in makers:
+        for atoms, guards, bind in specs:
+            path = br.path + atoms
             try:
-                queue.append(make())
+                queue.append(_child(br, path, guards, bind))
             except ContradictionSignal as c:
                 contradictions.append(Contradiction(path, c.reason, c.detail))
     return SolveResult(families, contradictions, residuals, system)

@@ -210,11 +210,13 @@ def build_algebra(spec):
     alg.dim = len(basis)
     alg.basis_index = {e: i for i, e in enumerate(basis)}
     table = nf_table(gb)
+    zero = ring.zero()
     pairs_table = []
     for ei in basis:
         prow = []
         for ej in basis:
-            nf = table[tuple(a + b for a, b in zip(ei, ej))]
+            # a product of degree > r is not tabulated: it lies in the ideal
+            nf = table.get(tuple(a + b for a, b in zip(ei, ej)), zero)
             prow.append(tuple(sorted((alg.basis_index[e], c) for e, c in nf.terms.items())))
         pairs_table.append(tuple(prow))
     alg.structure_pairs = tuple(pairs_table)
@@ -226,9 +228,7 @@ def build_algebra(spec):
     for s in range(1, r + 2):
         rows = []
         for e in monomials(len(ring.vars), s, r):
-            nf = table.get(e)
-            if nf is None:
-                nf = normal_form(ring.monomial(e), gb)
+            nf = table[e]
             if nf:
                 coords = [Fraction(0)] * alg.dim
                 for ee, c in nf.terms.items():

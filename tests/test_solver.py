@@ -214,6 +214,69 @@ def test_depth_limit_reports_a_residual():
     assert component_count(res) == "undetermined"
 
 
+def _three_unknowns_on_a_sphere():
+    ring = PolyRing(("U", "V", "W"), QQ)
+    U, V, W = (ring.var(n) for n in "UVW")
+    return ring, [U**2 + V**2 + W**2 - 1]
+
+
+def _one_curve_in_two_unknowns():
+    ring = PolyRing(("U", "V"), QQ)
+    U, V = ring.var("U"), ring.var("V")
+    return ring, [U**2 + V**2 - 1]
+
+
+def _two_curves_with_a_common_factor():
+    # the resultant in V of a circle and a multiple of it is zero
+    ring = PolyRing(("U", "V"), QQ)
+    U, V = ring.var("U"), ring.var("V")
+    circle = U**2 + V**2 - 1
+    return ring, [circle, circle * (U + 2)]
+
+
+def _a_content_split():
+    ring = PolyRing(("U", "V", "W"), QQ)
+    U, V, W = (ring.var(n) for n in "UVW")
+    return ring, [U * V + U * W]
+
+
+@pytest.mark.parametrize(
+    "make, budget, expected",
+    [
+        (_three_unknowns_on_a_sphere, 512, [((), "no finishing rule for 3 unknowns")]),
+        (_one_curve_in_two_unknowns, 512, [((), "underdetermined pair in U, V")]),
+        (_two_curves_with_a_common_factor, 512, [((), "resultant in V vanished")]),
+        (
+            _a_content_split,
+            1,
+            [
+                (("U = 0",), "branch budget exhausted"),
+                (("U != 0; V + W = 0",), "branch budget exhausted"),
+            ],
+        ),
+    ],
+)
+def test_every_residual_reason_through_solve(make, budget, expected):
+    ring, equations = make()
+    res = solve(tiny_system(ring, equations, ring.one()), branch_budget=budget)
+    assert [(r.path, r.reason) for r in res.residuals] == expected
+    assert res.families == [] and res.contradictions == []
+    assert component_count(res) == "undetermined"
+
+
+def test_each_split_child_counts_toward_the_depth_limit():
+    ring = PolyRing(("U", "V", "W"), QQ)
+    U, V, W = (ring.var(n) for n in "UVW")
+    res = solve(tiny_system(ring, [U * (V**2 + W**2 - 1)], ring.one()), max_depth=1)
+    fam, = res.families
+    assert fam.path == ("U = 0",)
+    resid, = res.residuals
+    assert resid.path == ("U != 0; V^2 + W^2 - 1 = 0",)
+    assert resid.reason == "branch depth limit"
+    assert [repr(p) for p in resid.equations] == ["V^2 + W^2 - 1"]
+    assert resid.guards == [U]
+
+
 def test_close_branch_settles_a_guarded_pair_over_an_extension():
     # over Q[c] with c^3 = 4, these two curves only meet where the guard
     # A - cB vanishes, so the branch dies with no real solution

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from weilaut.weil import AlgebraSpec, WeilError, build_algebra
-from weilaut.quotient import normal_form
+from weilaut.poly import monomials
+from weilaut.quotient import nf_table, normal_form
 from weilaut.parsing import parse_specfile
 import os
 
@@ -141,3 +142,23 @@ def test_spec_validation():
         AlgebraSpec("bad", ("X", "Y"), 0, [])
     spec = AlgebraSpec("ok", ("X", "Y"), 2, [{(2, 0): 1}])
     assert spec.relations[0].degree_in("X") == 2
+
+
+TAN3 = "algebra tan3 { vars: X, Y, Z; order: 3; relations: X^2, Y^2, Z^2; }"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [load("tangent2"), load("quartic"), load("sextic"), parse_specfile(TAN3)[0]],
+    ids=lambda spec: spec.name,
+)
+def test_structure_pairs_are_direct_normal_forms(spec):
+    alg = build_algebra(spec)
+    ring, r = alg.ring, spec.order
+    # the table stops at degree r; every longer product is zero in the quotient
+    assert sorted(nf_table(alg.gb)) == sorted(monomials(len(ring.vars), 0, r))
+    for i, ei in enumerate(alg.basis):
+        for j, ej in enumerate(alg.basis):
+            nf = normal_form(ring.monomial(ei) * ring.monomial(ej), alg.gb)
+            want = tuple(sorted((alg.basis_index[e], c) for e, c in nf.terms.items()))
+            assert alg.structure_pairs[i][j] == want
