@@ -5,9 +5,15 @@ Coefficients are Fraction over the rational field and FieldElement over an
 extension; all arithmetic on them is duck-typed. The only monomial order is
 graded lexicographic, configurable by a precedence permutation of the
 variables.
+
+A polynomial is immutable once built: every operation returns a new one (or
+the operand itself when nothing changes), and no code writes its terms dict
+after construction. The rendering cache in __repr__ relies on this.
 """
 
 from fractions import Fraction
+from math import gcd
+from operator import itemgetter
 
 from .scalar import FieldElement, _udivmod, _utrim, eval_rational, field_div, sign_of
 
@@ -19,13 +25,16 @@ class PolyError(ArithmeticError):
 class MonomialOrder:
     """grlex refined by a precedence permutation (indices, highest first)."""
 
-    __slots__ = ("precedence",)
+    __slots__ = ("precedence", "_pick")
 
     def __init__(self, precedence):
         self.precedence = tuple(precedence)
+        # itemgetter of one index returns a bare value and of none raises;
+        # with at most one variable the precedence is the identity anyway
+        self._pick = itemgetter(*self.precedence) if len(self.precedence) > 1 else tuple
 
     def key(self, exps):
-        return (sum(exps), tuple(exps[i] for i in self.precedence))
+        return (sum(exps), self._pick(exps))
 
 
 def monomials(nvars, lo, hi):
@@ -121,11 +130,12 @@ def _coeff_str(c):
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_repr")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
+        self._repr = None
 
     # -- basics ------------------------------------------------------------
 
@@ -262,11 +272,10 @@ class Polynomial:
         if not mapping or not self.terms:
             return self
         ring = self.ring
-        occurs = [any(col) for col in zip(*self.terms)]
         subs = []
         for v, p in mapping.items():
             i = ring.index[v]
-            if occurs[i]:
+            if any(map(itemgetter(i), self.terms)):
                 subs.append((i, ring.coerce(p)))
         if not subs:
             return self
@@ -377,16 +386,17 @@ class Polynomial:
                     return self.monic()
                 qs.append(c.rational_value())
             else:
-                qs.append(Fraction(c))
-        from math import gcd
+                qs.append(c)
         num = 0
         den = 1
         for q in qs:
             num = gcd(num, q.numerator)
             den = den * q.denominator // gcd(den, q.denominator)
-        content = Fraction(num, den)
         _, lc = self.leading()
-        lq = lc.rational_value() if isinstance(lc, FieldElement) else Fraction(lc)
+        lq = lc.rational_value() if isinstance(lc, FieldElement) else lc
+        if num == den == 1 and lq > 0:
+            return self
+        content = Fraction(num, den)
         if lq < 0:
             content = -content
         return self.map_coeffs(lambda c: c * (1 / content))
@@ -466,6 +476,11 @@ class Polynomial:
     # -- rendering -----------------------------------------------------------
 
     def __repr__(self):
+        if self._repr is None:
+            self._repr = self._render()
+        return self._repr
+
+    def _render(self):
         if not self.terms:
             return "0"
         key = self.ring.order.key

@@ -13,6 +13,7 @@ instead kills a branch outright when it collapses to zero.
 from fractions import Fraction
 from functools import cmp_to_key
 from math import lcm
+from operator import itemgetter
 
 from .scalar import QQ, ExtensionField, FieldElement, eval_rational, field_div
 from .scalar import kth_root_in_field, sign_of
@@ -110,22 +111,21 @@ class SolveResult:
         return not self.residuals
 
 
-def _sort_key(p):
-    return (p.total_degree(), len(p.terms), repr(p))
-
-
 def _strip_guarded_content(p, guard_vars):
-    ce = p.content_exps()
-    strip = tuple(
-        e if p.ring.vars[i] in guard_vars else 0 for i, e in enumerate(ce)
-    )
+    """p divided by the largest monomial in the guarded variables dividing it."""
+    strip = [0] * len(p.ring.vars)
+    for v in guard_vars:
+        i = p.ring.index[v]
+        strip[i] = min(map(itemgetter(i), p.terms))
     if any(strip):
-        return p.divide_monomial(strip)
+        return p.divide_monomial(tuple(strip))
     return p
 
 
 def _normalized_equations(equations, guard_vars):
-    out, seen = [], set()
+    """Nonzero equations with guarded content stripped, made primitive, without
+    repeats, sorted by (total degree, number of terms, rendering)."""
+    keyed, seen = [], set()
     for p in equations:
         if p.is_zero():
             continue
@@ -138,9 +138,10 @@ def _normalized_equations(equations, guard_vars):
         r = repr(q)
         if r not in seen:
             seen.add(r)
-            out.append(q)
-    out.sort(key=_sort_key)
-    return out
+            keyed.append(((q.total_degree(), len(q.terms), r), q))
+    # equal renderings are deduplicated, so no two keys tie
+    keyed.sort(key=itemgetter(0))
+    return [q for _, q in keyed]
 
 
 def _push_guard(g, guards, seen):

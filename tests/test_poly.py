@@ -1,10 +1,20 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from weilaut.poly import PolyRing, PolyError, monomials, resultant, sturm_count, univariate_coeffs
+from weilaut.poly import (
+    MonomialOrder,
+    Polynomial,
+    PolyRing,
+    PolyError,
+    monomials,
+    resultant,
+    sturm_count,
+    univariate_coeffs,
+)
 from weilaut.scalar import QQ, ExtensionField
 from oracles import (
     sylvester_resultant_oracle,
@@ -232,6 +242,93 @@ def test_repr_canonical():
     assert repr(r.zero()) == "0"
     assert repr(3 * A * B - r.one()) == "3*A*B - 1"
     assert repr(-A + Fraction(1, 2) * B) == "-A + 1/2*B"
+
+
+def test_monomial_order_key_matches_the_reference():
+    for n in range(4):
+        exps = list(itertools.product(range(3), repeat=n))
+        for prec in itertools.permutations(range(n)):
+            key = MonomialOrder(prec).key
+            for e in exps:
+                assert key(e) == (sum(e), tuple(e[i] for i in prec))
+
+
+def fresh_repr(p):
+    return repr(Polynomial(p.ring, dict(p.terms)))
+
+
+@pytest.mark.parametrize("precedence", [None, ("C", "A", "B")])
+@pytest.mark.parametrize("extension", [False, True])
+def test_cached_repr_matches_a_fresh_render(precedence, extension):
+    F = cbrt4_field() if extension else QQ
+    r = PolyRing(("A", "B", "C"), F, precedence)
+    c = F.gen() if extension else Fraction(-3, 2)
+    rng = random.Random(41)
+    for _ in range(15):
+        p = rand_poly(rng, r, 2, 4) + r.const(c) * rand_poly(rng, r, 1, 2)
+        q = rand_poly(rng, r, 2, 3) + r.var("B")
+        s = rand_poly(rng, r, 1, 2)
+        operands = (p, q, s)
+        before = [repr(x) for x in operands]  # fills the caches first
+        results = [
+            p + q,
+            p - p,
+            p * q,
+            p * c,
+            p.substitute({"A": s, "C": 2}),
+            p.substitute({"B": r.zero()}),
+            (p * q).exact_div(q),
+            q.primitive(),
+            (q * 6).primitive(),
+            (-q).primitive(),
+        ]
+        for x in results:
+            assert repr(x) == fresh_repr(x)
+        assert before == [fresh_repr(x) for x in operands]
+
+
+def primitive_reference(p):
+    """p over its rational content, signed so the leading coefficient is positive."""
+    qs = [c.rational_value() if hasattr(c, "rational_value") else Fraction(c) for c in p.terms.values()]
+    num = 0
+    den = 1
+    for q in qs:
+        num = math.gcd(num, q.numerator)
+        den = math.lcm(den, q.denominator)
+    _, lc = p.leading()
+    lead = lc.rational_value() if hasattr(lc, "rational_value") else Fraction(lc)
+    content = Fraction(num, den) if lead > 0 else -Fraction(num, den)
+    return {e: c / content for e, c in p.terms.items()}
+
+
+@pytest.mark.parametrize("extension", [False, True])
+def test_primitive_keeps_a_primitive_polynomial(extension):
+    F = cbrt4_field() if extension else QQ
+    rng = random.Random(43)
+    for precedence in (None, ("B", "A")):
+        r = PolyRing(("A", "B"), F, precedence)
+        for _ in range(25):
+            p = rand_poly(rng, r, 3, 4)
+            if not p:
+                continue
+            q = p.primitive()
+            ref = primitive_reference(p)
+            assert q.terms == ref and list(q.terms) == list(ref)
+            assert q.ring is r
+            assert q.primitive() is q
+            assert (p * Fraction(-2, 3)).primitive() == q
+        A, B = r.var("A"), r.var("B")
+        already = 2 * A**2 * B - 3 * A + B
+        assert already.primitive() is already
+        assert (-already).primitive() == already
+        assert r.zero().primitive().is_zero()
+    if extension:
+        # an irrational coefficient falls back to monic
+        r = PolyRing(("A", "B"), F)
+        p = r.var("A") * F.gen() + r.var("B")
+        assert p.primitive() == p.monic()
+        monic = r.var("A") + r.var("B") * F.gen()
+        assert monic.primitive() is monic
 
 
 def test_resultant_printed_cases():

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -12,12 +13,15 @@ from weilaut.endo import (
     numeric_instantiate,
 )
 from weilaut.scalar import QQ, ExtensionField
-from weilaut.poly import PolyRing
+from weilaut.poly import Polynomial, PolyRing
 from weilaut.solver import (
     Branch,
+    INCONSISTENT,
     Contradiction,
+    ContradictionSignal,
     Residual,
     SolutionFamily,
+    _normalized_equations,
     classify_det1,
     close_branch,
     component_count,
@@ -26,10 +30,19 @@ from weilaut.solver import (
 from weilaut.specdata import spec_path
 
 
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus.alg")
+
+
 def load(name):
     with open(spec_path(name)) as fh:
         specs = parse_specfile(fh.read())
     return build_algebra(specs[0])
+
+
+def load_corpus(name):
+    with open(CORPUS) as fh:
+        specs = parse_specfile(fh.read())
+    return build_algebra(next(s for s in specs if s.name == name))
 
 
 def solve_algebra(name):
@@ -454,3 +467,57 @@ def test_solver_is_deterministic():
 
     assert snapshot("quartic") == snapshot("quartic")
     assert snapshot("sextic") == snapshot("sextic")
+
+
+# -- equation normalization against an independent reference -------------------
+
+
+def strip_reference(p, guard_vars):
+    """p divided by the largest monomial in the guarded variables dividing it."""
+    ring = p.ring
+    low = [0] * len(ring.vars)
+    for v in guard_vars:
+        i = ring.index[v]
+        low[i] = min(e[i] for e in p.terms)
+    return Polynomial(ring, {tuple(k - d for k, d in zip(e, low)): c for e, c in p.terms.items()})
+
+
+def normalized_reference(equations, guard_vars):
+    by_repr = {}
+    for p in equations:
+        if p.terms:
+            q = strip_reference(p, guard_vars).primitive()
+            by_repr.setdefault(repr(q), q)
+    return sorted(
+        by_repr.values(),
+        key=lambda q: (max(sum(e) for e in q.terms), len(q.terms), repr(q)),
+    )
+
+
+@pytest.mark.parametrize("name", ["tangent2", "quartic", "sextic", "tan3"])
+def test_normalized_equations_match_a_reference(name):
+    algebra = load_corpus(name) if name == "tan3" else load(name)
+    system = constraint_system(generic_endo(algebra))
+    ring = system.ring
+    eqs = list(system.equations)
+    # scaled and shifted copies, so dedup and content stripping both fire
+    U = ring.var(system.unknowns[0])
+    eqs += [p * Fraction(-3, 2) for p in eqs[:4]] + [p * U for p in eqs[-3:]] + [ring.zero()]
+    content = sorted(
+        {ring.vars[i] for p in eqs if p for i, e in enumerate(p.content_exps()) if e},
+        key=ring.index.get,
+    )
+    guard_sets = [set(), set(content[:3]), {system.unknowns[0], system.unknowns[-1]}]
+    for guard_vars in guard_sets:
+        # an equation that is a guarded monomial is a contradiction on its own
+        constant = [p for p in eqs if p and strip_reference(p, guard_vars).is_constant()]
+        for p in constant:
+            with pytest.raises(ContradictionSignal) as info:
+                _normalized_equations([p], guard_vars)
+            assert info.value.reason == INCONSISTENT
+        kept = [p for p in eqs if p not in constant]
+        got = _normalized_equations(kept, guard_vars)
+        ref = normalized_reference(kept, guard_vars)
+        assert ref
+        assert [repr(q) for q in got] == [repr(q) for q in ref]
+        assert [list(q.terms.items()) for q in got] == [list(q.terms.items()) for q in ref]
