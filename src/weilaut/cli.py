@@ -104,12 +104,11 @@ def load_spec(args):
     return spec
 
 
-def _format_element(algebra, elem):
-    names = [compact(m) for m in algebra.basis_names()]
+def _format_combination(pairs, names):
+    """A combination of basis monomials, given as (index, coefficient) pairs."""
     parts = []
-    for c, n in zip(elem.coords, names):
-        if not c:
-            continue
+    for k, c in pairs:
+        n = names[k]
         if n == "1":
             parts.append(str(c))
         elif c == 1:
@@ -131,12 +130,11 @@ def cmd_basis(args):
 def cmd_table(args):
     algebra = build_algebra(load_spec(args))
     names = [compact(m) for m in algebra.basis_names()]
-    for i in range(algebra.dim):
+    for i, row in enumerate(algebra.structure_pairs):
         for j in range(i, algebra.dim):
-            prod = algebra.basis_element(i) * algebra.basis_element(j)
             print(
                 "%s * %s = %s"
-                % (names[i], names[j], _format_element(algebra, prod))
+                % (names[i], names[j], _format_combination(row[j], names))
             )
     return 0
 

@@ -10,24 +10,24 @@ as the independent ground truth for every derived equation.
 
 from fractions import Fraction
 
-from .scalar import QQ, field_div
+from .scalar import QQ
 from .poly import PolyRing, Polynomial
 from .weil import structure_product
-from .linalg import bareiss_determinant, filtered_determinant, rref, matmul
+from .linalg import bareiss_determinant, filtered_determinant, rref
 
 
 class EndoError(ValueError):
     pass
 
 
-def unknown_names(count, taken=(), prefix=""):
+def unknown_names(count, taken=()):
     """A, B, C, ... skipping O and any taken names; A1, B1, ... afterwards."""
     letters = [chr(ord("A") + i) for i in range(26) if chr(ord("A") + i) != "O"]
     out = []
     suffix = 0
     while len(out) < count:
         for letter in letters:
-            name = prefix + letter + (str(suffix) if suffix else "")
+            name = letter + (str(suffix) if suffix else "")
             if name in taken:
                 continue
             out.append(name)
@@ -95,11 +95,11 @@ def _monomial_image(algebra, images, exps, zero, one, cache):
     return coords
 
 
-def generic_endo(algebra, symbol_prefix=""):
+def generic_endo(algebra):
     nvars = len(algebra.ring.vars)
     m = algebra.dim - 1
     taken = set(algebra.ring.vars)
-    names = unknown_names(nvars * m, taken, symbol_prefix)
+    names = unknown_names(nvars * m, taken)
     ring = PolyRing(tuple(names), QQ)
     images = {}
     slots = {}
@@ -111,10 +111,6 @@ def generic_endo(algebra, symbol_prefix=""):
             slots[name] = (v, j + 1)
         images[v] = coords
     return SymbolicEndo(algebra, ring, names, images, slots)
-
-
-def _poly_div(a, b):
-    return a.exact_div(b)
 
 
 class SymbolicMatrix:
@@ -140,8 +136,8 @@ class SymbolicMatrix:
         if not self.entries:
             return self.ring.one()
         if blocks is None:
-            return bareiss_determinant(self.entries, _poly_div)
-        return filtered_determinant(self.entries, blocks, _poly_div)
+            return bareiss_determinant(self.entries, Polynomial.exact_div)
+        return filtered_determinant(self.entries, blocks, Polynomial.exact_div)
 
     def block(self, positions):
         """The principal submatrix on the given positions."""
@@ -153,11 +149,6 @@ class SymbolicMatrix:
 
     def diagonal(self):
         return [self.entries[i][i] for i in range(len(self.entries))]
-
-    def entry(self, row_label, col_label):
-        i = self.labels.index(row_label)
-        j = self.labels.index(col_label)
-        return self.entries[i][j]
 
 
 def extend_to_matrix(endo):
@@ -250,44 +241,15 @@ def resolve_bindings(ring, bindings):
     return resolved
 
 
-def substitute(target, bindings):
-    """Simultaneous substitution into an endo, constraint system or matrix."""
-    if isinstance(target, SymbolicEndo):
-        ring = target.ring
-        closed = resolve_bindings(ring, bindings)
-        images = {
-            v: [c.substitute(closed) for c in coords] for v, coords in target.images.items()
-        }
-        kept = [u for u in target.unknowns if u not in closed]
-        return SymbolicEndo(target.algebra, ring, kept, images, target.unknown_slots)
-    if isinstance(target, ConstraintSystem):
-        ring = target.ring
-        closed = resolve_bindings(ring, bindings)
-        eqs = [p.substitute(closed) for p in target.equations]
-        nd = [p.substitute(closed) for p in target.nondegeneracy]
-        kept = [u for u in target.unknowns if u not in closed]
-        return ConstraintSystem(ring, eqs, nd, list(target.provenance), kept)
-    if isinstance(target, SymbolicMatrix):
-        ring = target.ring
-        closed = resolve_bindings(ring, bindings)
-        entries = [[p.substitute(closed) for p in row] for row in target.entries]
-        return SymbolicMatrix(ring, entries, target.labels)
-    raise EndoError("cannot substitute into %r" % type(target).__name__)
+def substitute(matrix, bindings):
+    """Simultaneous substitution of the bindings into every matrix entry."""
+    closed = resolve_bindings(matrix.ring, bindings)
+    entries = [[p.substitute(closed) for p in row] for row in matrix.entries]
+    return SymbolicMatrix(matrix.ring, entries, matrix.labels)
 
 
 class NumericEndo:
-    __slots__ = (
-        "algebra",
-        "matrix",
-        "nil_matrix",
-        "is_homomorphism",
-        "is_automorphism",
-        "failing_pairs",
-        "det_linear",
-    )
-
-    def det_full(self):
-        return bareiss_determinant(self.nil_matrix, field_div)
+    __slots__ = ("algebra", "matrix", "is_homomorphism", "is_automorphism", "failing_pairs")
 
 
 def numeric_instantiate(endo, values):
@@ -317,37 +279,9 @@ def numeric_instantiate(endo, values):
     out = NumericEndo.__new__(NumericEndo)
     out.algebra = alg
     out.matrix = rows
-    out.nil_matrix = [[rows[i][j] for j in alg.nil_indices] for i in alg.nil_indices]
     out.is_homomorphism = not failing
     out.failing_pairs = failing
-    deg1 = alg.degree_one_indices()
-    m1 = [[rows[i][j] for j in deg1] for i in deg1]
-    out.det_linear = bareiss_determinant(m1, field_div) if m1 else Fraction(1)
-    nilrank = len(rref(out.nil_matrix)[1]) if out.nil_matrix else 0
-    out.is_automorphism = out.is_homomorphism and nilrank == len(alg.nil_indices)
+    nil = alg.nil_indices
+    nilrank = len(rref([[rows[i][j] for j in nil] for i in nil])[1])
+    out.is_automorphism = out.is_homomorphism and nilrank == len(nil)
     return out
-
-
-def compose(first, second):
-    """Numeric composition: apply first, then second (row-vector convention)."""
-    if first.algebra is not second.algebra:
-        raise EndoError("endomorphisms of different algebras")
-    return matmul(first.matrix, second.matrix)
-
-
-def nil_block(algebra, matrix):
-    return [[matrix[i][j] for j in algebra.nil_indices] for i in algebra.nil_indices]
-
-
-def deg1_block(algebra, matrix):
-    deg1 = algebra.degree_one_indices()
-    return [[matrix[i][j] for j in deg1] for i in deg1]
-
-
-def identity_bindings(endo):
-    alg = endo.algebra
-    values = {}
-    for name, (v, coord) in endo.unknown_slots.items():
-        var_index = alg.basis_index[tuple(1 if w == v else 0 for w in alg.ring.vars)]
-        values[name] = Fraction(1) if coord == var_index else Fraction(0)
-    return values

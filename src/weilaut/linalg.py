@@ -106,28 +106,3 @@ def rref(rows):
         if r == nrows:
             break
     return m, pivots
-
-
-def matmul(a, b):
-    if not a or not b:
-        raise LinalgError("empty matrix")
-    inner = len(b)
-    for row in a:
-        if len(row) != inner:
-            raise LinalgError("shape mismatch")
-    ncols = len(b[0])
-    out = []
-    for row in a:
-        new = []
-        for j in range(ncols):
-            acc = None
-            for k in range(inner):
-                t = row[k] * b[k][j]
-                acc = t if acc is None else acc + t
-            new.append(acc)
-        out.append(new)
-    return out
-
-
-def identity_matrix(n, one, zero):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]

@@ -321,7 +321,11 @@ def _build_spec(name, entries):
 
 
 def parse_bindings(text, ring):
-    """Bindings file: SYMBOL = polynomial, free: names, nonzero: names."""
+    """Bindings file: SYMBOL = polynomial, free: names, nonzero: names.
+
+    A symbol is either bound or free: naming a bound symbol under free:
+    (before or after its binding) is an error.
+    """
     bindings = {}
     free = []
     nonzero = []
@@ -330,7 +334,11 @@ def parse_bindings(text, ring):
         if not line:
             continue
         if line.startswith("free:"):
-            free.extend(_names_from_csv(line[len("free:"):], ring, lineno))
+            names = _names_from_csv(line[len("free:"):], ring, lineno)
+            for name in names:
+                if name in bindings:
+                    raise ParseError("symbol %r is both bound and free" % name, lineno, 1)
+            free.extend(names)
             continue
         if line.startswith("nonzero:"):
             nonzero.extend(_names_from_csv(line[len("nonzero:"):], ring, lineno))
@@ -343,6 +351,8 @@ def parse_bindings(text, ring):
             raise ParseError("unknown symbol %r in bindings" % sym, lineno, 1)
         if sym in bindings:
             raise ParseError("symbol %r bound twice" % sym, lineno, 1)
+        if sym in free:
+            raise ParseError("symbol %r is both bound and free" % sym, lineno, 1)
         try:
             bindings[sym] = parse_polynomial(rhs, ring)
         except ParseError as exc:

@@ -609,4 +609,4 @@ def resultant(p, q, var):
             row[i + (n - k)] = qc.get(k, zero)
         rows.append(row)
     from .linalg import bareiss_determinant
-    return bareiss_determinant(rows, lambda a, b: a.exact_div(b))
+    return bareiss_determinant(rows, Polynomial.exact_div)

@@ -13,7 +13,7 @@ shipped one exactly (variables, order, relations, precedence); otherwise
 the unknown names would not line up and the comparison would be nonsense.
 """
 
-from .endo import extend_to_matrix, linear_matrix, relation_label, substitute
+from .endo import extend_to_matrix, relation_label, substitute
 from .parsing import parse_polynomial
 from .solver import component_count
 
@@ -277,9 +277,8 @@ def build_discrepancies(data, endo, system, result):
                     "derived": repr(eng_det),
                 })
         if "det_linear" in ref:
-            lin = substitute(linear_matrix(endo), stage)
             printed_det1 = parse_polynomial(ref["det_linear"], ring)
-            eng_det1 = lin.det()
+            eng_det1 = full.block(endo.algebra.graded_pieces()[0]).det()
             if eng_det1 != printed_det1:
                 items.append({
                     "where": "det of the degree-one block",

@@ -79,18 +79,11 @@ def _reduce(p, basis):
     return Polynomial(ring, {e: c for e, c in rem.items() if c})
 
 
-def buchberger(ideal, ring=None):
-    """Reduced monic Groebner basis of generators + degree-(r+1) monomials.
-
-    An alternate ring over the same variables may be passed to redo the
-    computation under a different precedence.
-    """
-    if ring is None:
-        ring = ideal.ring
-    elif ring.vars != ideal.ring.vars:
-        raise PolyError("alternate ring must share the variable list")
+def buchberger(ideal):
+    """Reduced monic Groebner basis of generators + degree-(r+1) monomials."""
+    ring = ideal.ring
     r = ideal.truncation_order
-    gens = [g if g.ring is ring else Polynomial(ring, dict(g.terms)) for g in ideal.generators]
+    gens = list(ideal.generators)
     basis = []
     for g in gens + [ring.monomial(e) for e in monomials(len(ring.vars), r + 1, r + 1)]:
         g = _reduce(g, basis)
@@ -140,11 +133,9 @@ def normal_form(p, gb):
     return _reduce(p, gb.elements)
 
 
-def standard_monomials(gb, r=None):
+def standard_monomials(gb):
     """Monomials of degree <= r outside the leading-term ideal, ascending."""
-    ring = gb.ring
-    if r is None:
-        r = gb.truncation_order
+    ring, r = gb.ring, gb.truncation_order
     out = [
         e for e in monomials(len(ring.vars), 0, r)
         if not any(_divides(le, e) for le in gb._leads)
@@ -153,14 +144,12 @@ def standard_monomials(gb, r=None):
     return out
 
 
-def nf_table(gb, r=None):
+def nf_table(gb):
     """Normal form of every monomial of degree <= r (the truncation order).
 
     Returns a dict exponent tuple -> Polynomial supported on standard
     monomials. Every monomial of degree >= r + 1 lies in the ideal, so a
     product of basis monomials missing from the table is zero.
     """
-    ring = gb.ring
-    if r is None:
-        r = gb.truncation_order
+    ring, r = gb.ring, gb.truncation_order
     return {e: normal_form(ring.monomial(e), gb) for e in monomials(len(ring.vars), 0, r)}

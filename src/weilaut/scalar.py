@@ -104,9 +104,6 @@ class ExtensionField:
     def degree(self):
         return len(self.minpoly) - 1
 
-    def is_rational(self):
-        return self.degree == 1
-
     def coerce(self, x):
         if isinstance(x, FieldElement):
             if x.field.minpoly != self.minpoly:

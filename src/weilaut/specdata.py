@@ -10,7 +10,3 @@ def spec_path(name):
     if "." not in os.path.basename(name):
         name = name + ".alg"
     return os.path.join(SPEC_DIR, name)
-
-
-def shipped_names():
-    return sorted(n[:-4] for n in os.listdir(SPEC_DIR) if n.endswith(".alg"))

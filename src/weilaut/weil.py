@@ -2,16 +2,17 @@
 
 A spec fixes variables, a truncation order r and extra relations; the algebra
 is Q[vars]/(relations + all monomials of degree r+1). The basis is the
-ascending list of standard monomials, 1 first, and products are cached as
-structure constants so the same multiplication drives both numeric elements
-and symbolic endomorphism images.
+ascending list of standard monomials, 1 first. An element is its list of
+coordinates in that basis; products are cached as structure constants, so
+one multiplication, structure_product, drives both numeric elements and
+symbolic endomorphism images.
 """
 
 from fractions import Fraction
 
 from .scalar import QQ
 from .poly import PolyRing, Polynomial, monomials
-from .quotient import IdealPresentation, buchberger, normal_form, standard_monomials, nf_table
+from .quotient import IdealPresentation, buchberger, standard_monomials, nf_table
 from .linalg import rref
 
 
@@ -52,63 +53,6 @@ class AlgebraSpec:
         return AlgebraSpec(self.name, self.variables, self.order, self.relations, precedence)
 
 
-class Element:
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra, coords):
-        coords = list(coords)
-        if len(coords) != algebra.dim:
-            raise WeilError("coordinate vector has wrong length")
-        self.algebra = algebra
-        self.coords = coords
-
-    def __add__(self, other):
-        self._same(other)
-        return Element(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        self._same(other)
-        return Element(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        return Element(self.algebra, [-a for a in self.coords])
-
-    def scale(self, c):
-        return Element(self.algebra, [a * c for a in self.coords])
-
-    def __mul__(self, other):
-        if isinstance(other, Element):
-            self._same(other)
-            return Element(self.algebra, structure_product(self.algebra, self.coords, other.coords, Fraction(0)))
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.algebra is other.algebra and all(a == b for a, b in zip(self.coords, other.coords))
-
-    def __hash__(self):
-        return hash(tuple(self.coords))
-
-    def is_zero(self):
-        return all(not c for c in self.coords)
-
-    def _same(self, other):
-        if self.algebra is not other.algebra:
-            raise WeilError("elements of different algebras")
-
-    def __repr__(self):
-        names = self.algebra.basis_names()
-        parts = []
-        for c, n in zip(self.coords, names):
-            if not c:
-                continue
-            parts.append("%s*%s" % (c, n) if n != "1" else str(c))
-        return " + ".join(parts) if parts else "0"
-
-
 class WeilAlgebra:
     __slots__ = (
         "spec",
@@ -125,32 +69,6 @@ class WeilAlgebra:
 
     def basis_names(self):
         return [self.ring.monomial_str(e) for e in self.basis]
-
-    def unit(self):
-        coords = [Fraction(0)] * self.dim
-        coords[0] = Fraction(1)
-        return Element(self, coords)
-
-    def element(self, coords):
-        return Element(self, [Fraction(c) for c in coords])
-
-    def basis_element(self, i):
-        coords = [Fraction(0)] * self.dim
-        coords[i] = Fraction(1)
-        return Element(self, coords)
-
-    def monomial_element(self, name):
-        names = self.basis_names()
-        if name not in names:
-            raise WeilError("%s is not a basis monomial" % name)
-        return self.basis_element(names.index(name))
-
-    def from_polynomial(self, p):
-        nf = normal_form(p if p.ring is self.ring else Polynomial(self.ring, dict(p.terms)), self.gb)
-        coords = [Fraction(0)] * self.dim
-        for e, c in nf.terms.items():
-            coords[self.basis_index[e]] = c
-        return Element(self, coords)
 
     def degree_one_indices(self):
         return [i for i, e in enumerate(self.basis) if sum(e) == 1]

@@ -195,3 +195,35 @@ def dense_quotient_oracle(relations, r, precedence=("X", "Y")):
         return {k: v for k, v in out.items() if v}
 
     return standard, nf
+
+
+# -- matrices and endomorphisms, from the definitions -------------------------
+
+
+def matmul(a, b):
+    """Product of two matrices given as lists of rows."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def principal(matrix, positions):
+    """The principal submatrix on the given row and column positions."""
+    return [[matrix[i][j] for j in positions] for i in positions]
+
+
+def degree_one(algebra):
+    """Positions of the degree-one basis monomials."""
+    return [i for i, e in enumerate(algebra.basis) if sum(e) == 1]
+
+
+def identity_point(endo):
+    """Values of the unknowns at which the endomorphism is the identity.
+
+    The unknown in slot (v, k) is the coefficient of basis monomial k in the
+    image of v, so it is 1 exactly when that monomial is v itself.
+    """
+    alg = endo.algebra
+    point = {}
+    for name, (v, k) in endo.unknown_slots.items():
+        exps = tuple(int(w == v) for w in alg.ring.vars)
+        point[name] = Fraction(int(alg.basis[k] == exps))
+    return point

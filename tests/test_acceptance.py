@@ -15,26 +15,25 @@ import pytest
 from weilaut.cli import main
 from weilaut.endo import (
     SymbolicMatrix,
-    compose,
     constraint_system,
-    deg1_block,
     extend_to_matrix,
     generic_endo,
-    identity_bindings,
     linear_matrix,
-    nil_block,
     numeric_instantiate,
     substitute,
 )
 from weilaut.linalg import bareiss_determinant
 from weilaut.parsing import parse_polynomial, parse_specfile
 from weilaut.poly import PolyRing
+from weilaut.quotient import normal_form
 from weilaut.published import QUARTIC, match_reference_family, reference_for
 from weilaut.report import analyze, build_report
 from weilaut.scalar import QQ, ExtensionField
 from weilaut.solver import Branch, Contradiction, close_branch
 from weilaut.specdata import spec_path
-from weilaut.weil import build_algebra
+from weilaut.weil import build_algebra, structure_product
+
+from oracles import degree_one, identity_point, matmul, principal
 
 ALGEBRAS = ("tangent2", "quartic", "sextic")
 
@@ -216,7 +215,7 @@ def test_criterion_4_sextic_closure(pipeline, criterion):
         system = constraint_system(endo)
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0
-        ident = identity_bindings(endo)
+        ident = identity_point(endo)
         assert all(eq.evaluate(ident) == 0 for eq in system.equations)
         assert system.nondegeneracy[0].evaluate(ident) != 0
         analysis, rep = pipeline["sextic"]
@@ -237,6 +236,7 @@ def test_criterion_5_oracle_equivalence(pipeline, criterion):
             endo, system = analysis.endo, analysis.system
             alg = analysis.algebra
             fams = analysis.result.families
+            mul = lambda u, v: structure_product(alg, u, v, Fraction(0))
             rng = random.Random(700 + alg.dim)
             points = [{u: frac(rng) for u in endo.unknowns} for _ in range(100)]
             points += [family_point(fams[k % len(fams)], rng) for k in range(100)]
@@ -263,17 +263,20 @@ def test_criterion_5_oracle_equivalence(pipeline, criterion):
                     (alg.ring.monomial(e, c) for e, c in zip(alg.basis, v)),
                     alg.ring.zero(),
                 )
-                assert alg.element(u) * alg.element(v) == alg.from_polynomial(pu * pv)
+                nf = normal_form(pu * pv, alg.gb)
+                want = [nf.terms.get(e, 0) for e in alg.basis]
+                assert mul(u, v) == want
 
+            basis = [[Fraction(int(i == k)) for k in range(alg.dim)] for i in range(alg.dim)]
             for i in range(alg.dim):
-                bi = alg.basis_element(i)
-                assert alg.unit() * bi == bi
+                bi = basis[i]
+                assert mul(basis[0], bi) == bi
                 for j in range(i, alg.dim):
-                    bj = alg.basis_element(j)
-                    assert bi * bj == bj * bi
+                    bj = basis[j]
+                    assert mul(bi, bj) == mul(bj, bi)
                     for k in range(j, alg.dim):
-                        bk = alg.basis_element(k)
-                        assert (bi * bj) * bk == bi * (bj * bk)
+                        bk = basis[k]
+                        assert mul(mul(bi, bj), bk) == mul(bi, mul(bj, bk))
 
 
 def test_criterion_6_determinant_homomorphism(pipeline, criterion):
@@ -282,17 +285,24 @@ def test_criterion_6_determinant_homomorphism(pipeline, criterion):
         for name in ALGEBRAS:
             analysis, _ = pipeline[name]
             alg, endo = analysis.algebra, analysis.endo
+            deg1, nil = degree_one(alg), alg.nil_indices
             for fi, fam in enumerate(analysis.result.families):
                 rng = random.Random(600 + 10 * alg.dim + fi)
                 for _ in range(100):
                     phi = numeric_instantiate(endo, family_point(fam, rng))
                     psi = numeric_instantiate(endo, family_point(fam, rng))
                     assert phi.is_automorphism and psi.is_automorphism
-                    both = compose(phi, psi)
-                    d1 = bareiss_determinant(deg1_block(alg, both), div)
-                    df = bareiss_determinant(nil_block(alg, both), div)
-                    assert d1 == phi.det_linear * psi.det_linear
-                    assert df == phi.det_full() * psi.det_full()
+                    both = matmul(phi.matrix, psi.matrix)
+                    d1 = bareiss_determinant(principal(both, deg1), div)
+                    df = bareiss_determinant(principal(both, nil), div)
+                    assert d1 == (
+                        bareiss_determinant(principal(phi.matrix, deg1), div)
+                        * bareiss_determinant(principal(psi.matrix, deg1), div)
+                    )
+                    assert df == (
+                        bareiss_determinant(principal(phi.matrix, nil), div)
+                        * bareiss_determinant(principal(psi.matrix, nil), div)
+                    )
 
 
 def test_criterion_7_grid_completeness(pipeline, criterion):

@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in process."""
 
+import hashlib
 import json
 
 from weilaut.cli import main
@@ -22,6 +23,37 @@ def test_table_prints_zero_and_nonzero_products(capsys):
     assert "X * X = 0" in out
     assert "X * Y = XY" in out
     assert "1 * XY = XY" in out
+
+
+def test_table_of_the_sextic_is_pinned(capsys):
+    assert main(["table", spec_path("sextic")]) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert len(lines) == 120
+    assert "Y * Y^3 = -X^3" in lines
+    assert "Y^2 * Y^2 = -X^3" in lines
+    digest = "a89ab6209fc54074feef37dc83348e9f761528b2657646838bd5ea18b9e44051"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_table_prints_general_coefficients(tmp_path, capsys):
+    spec = tmp_path / "scaled.alg"
+    spec.write_text(
+        "algebra scaled { vars: X, Y; order: 2; relations: X^2 - 2*Y^2, X*Y + Y^2/3; }\n"
+    )
+    assert main(["table", str(spec)]) == 0
+    assert capsys.readouterr().out == (
+        "1 * 1 = 1\n"
+        "1 * Y = Y\n"
+        "1 * X = X\n"
+        "1 * Y^2 = Y^2\n"
+        "Y * Y = Y^2\n"
+        "Y * X = -1/3*Y^2\n"
+        "Y * Y^2 = 0\n"
+        "X * X = 2*Y^2\n"
+        "X * Y^2 = 0\n"
+        "Y^2 * Y^2 = 0\n"
+    )
 
 
 def test_constraints_output(capsys):
@@ -101,6 +133,21 @@ def test_verify_fails_and_names_the_offending_pair(tmp_path, capsys):
     assert code == 3
     assert "FAIL" in out
     assert "(Y, Y)" in out or "(X, X)" in out
+
+
+def test_verify_rejects_a_symbol_both_bound_and_free(tmp_path, capsys):
+    # the shipped quartic family with its bound B also listed as free: the
+    # binding must not be silently replaced by a sample
+    shipped = spec_path("quartic").replace("quartic.alg", "quartic_family.bindings")
+    with open(shipped, encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / "overlap.bindings"
+    bad.write_text(text.replace("free: A,", "free: B, A,"))
+    code = main(["verify", spec_path("quartic"), str(bad), "--samples", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "'B' is both bound and free" in captured.err
+    assert "sample" not in captured.out
 
 
 def test_verify_rejects_uncovered_unknowns(tmp_path, capsys):

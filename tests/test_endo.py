@@ -7,23 +7,21 @@ from weilaut.parsing import parse_specfile
 from weilaut.weil import build_algebra
 from weilaut.endo import (
     EndoError,
-    compose,
     constraint_system,
-    deg1_block,
     extend_to_matrix,
     generic_endo,
-    identity_bindings,
     linear_matrix,
-    nil_block,
     numeric_instantiate,
     resolve_bindings,
     substitute,
     unknown_names,
 )
-from weilaut.linalg import bareiss_determinant, identity_matrix
+from weilaut.linalg import bareiss_determinant
 from weilaut.scalar import QQ, ExtensionField, FieldElement
 from weilaut.poly import PolyError, PolyRing
 from weilaut.specdata import spec_path
+
+from oracles import degree_one, identity_point, matmul, principal
 
 
 def load(name):
@@ -114,10 +112,11 @@ def test_numeric_instantiate_automorphism(tangent2):
     e = generic_endo(tangent2)
     n = numeric_instantiate(e, {"A": 1, "B": 0, "C": 2, "D": 0, "E": 1, "F": 3})
     assert n.is_homomorphism and n.is_automorphism
-    assert n.det_linear == 1
-    assert n.det_full() == 1
-    ident = numeric_instantiate(e, identity_bindings(e))
-    assert ident.matrix == identity_matrix(4, Fraction(1), Fraction(0))
+    div = lambda x, y: x / y
+    assert bareiss_determinant(principal(n.matrix, degree_one(tangent2)), div) == 1
+    assert bareiss_determinant(principal(n.matrix, tangent2.nil_indices), div) == 1
+    ident = numeric_instantiate(e, identity_point(e))
+    assert ident.matrix == [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
     assert ident.is_automorphism
 
 
@@ -168,7 +167,7 @@ def test_constraints_match_numeric_oracle(tangent2, quartic, sextic):
         hom_seen = 0
         for trial in range(40):
             if trial == 0:
-                vals = identity_bindings(e)
+                vals = identity_point(e)
             elif trial % 3 == 1:
                 vals = scalar_bindings(e, rng.randint(1, 3))
             else:
@@ -178,7 +177,8 @@ def test_constraints_match_numeric_oracle(tangent2, quartic, sextic):
             assert vanish == n.is_homomorphism
             if n.is_homomorphism:
                 hom_seen += 1
-                assert n.is_automorphism == (n.det_linear != 0)
+                det1 = bareiss_determinant(principal(n.matrix, degree_one(alg)), lambda x, y: x / y)
+                assert n.is_automorphism == (det1 != 0)
         assert hom_seen > 0
 
 
@@ -193,10 +193,11 @@ def test_quartic_matrix_rows(quartic):
     assert repr(mf.det()) == "A^21"
     assert repr(substitute(linear_matrix(e), fam).det()) == "A^2"
     # spot entries away from the diagonal
-    assert repr(mf.entry("X", "X^3")) == "F"
-    assert repr(m.entry("X^2", "X^4")) == "2*A*F + 2*B*H + C^2 + 2*D*E"
-    assert repr(mf.entry("X^2", "X^4")) == "2*A*F + C^2 + 2*D*E"
-    assert repr(mf.entry("X*Y", "X^4")) == "A*H + A*P + C*E + C*L + D*N"
+    at = m.labels.index
+    assert repr(mf.entries[at("X")][at("X^3")]) == "F"
+    assert repr(m.entries[at("X^2")][at("X^4")]) == "2*A*F + 2*B*H + C^2 + 2*D*E"
+    assert repr(mf.entries[at("X^2")][at("X^4")]) == "2*A*F + C^2 + 2*D*E"
+    assert repr(mf.entries[at("X*Y")][at("X^4")]) == "A*H + A*P + C*E + C*L + D*N"
 
 
 def test_matrix_agrees_with_numeric(quartic):
@@ -207,7 +208,7 @@ def test_matrix_agrees_with_numeric(quartic):
         vals = {u: Fraction(rng.randint(-3, 3)) for u in e.unknowns}
         n = numeric_instantiate(e, vals)
         sym = [[p.evaluate(vals) for p in row] for row in m.entries]
-        assert sym == n.nil_matrix
+        assert sym == principal(n.matrix, quartic.nil_indices)
 
 
 def test_compose_and_det_multiplicativity(quartic):
@@ -224,15 +225,23 @@ def test_compose_and_det_multiplicativity(quartic):
         w = {u: Fraction(0) for u in e.unknowns}
         w.update({"A": Fraction(2), "K": Fraction(2), "C": Fraction(1), "M": Fraction(1)})
         n2 = numeric_instantiate(e, w)
-        comp = compose(n1, n2)
-        d1 = bareiss_determinant(deg1_block(quartic, comp), lambda x, y: x / y)
-        assert d1 == n1.det_linear * n2.det_linear
-        dfull = bareiss_determinant(nil_block(quartic, comp), lambda x, y: x / y)
-        assert dfull == n1.det_full() * n2.det_full()
-    ident = numeric_instantiate(e, identity_bindings(e))
+        comp = matmul(n1.matrix, n2.matrix)
+        div = lambda x, y: x / y
+        deg1, nil = degree_one(quartic), quartic.nil_indices
+        d1 = bareiss_determinant(principal(comp, deg1), div)
+        assert d1 == (
+            bareiss_determinant(principal(n1.matrix, deg1), div)
+            * bareiss_determinant(principal(n2.matrix, deg1), div)
+        )
+        dfull = bareiss_determinant(principal(comp, nil), div)
+        assert dfull == (
+            bareiss_determinant(principal(n1.matrix, nil), div)
+            * bareiss_determinant(principal(n2.matrix, nil), div)
+        )
+    ident = numeric_instantiate(e, identity_point(e))
     n = numeric_instantiate(e, vals)
-    assert compose(n, ident) == n.matrix
-    assert compose(ident, n) == n.matrix
+    assert matmul(n.matrix, ident.matrix) == n.matrix
+    assert matmul(ident.matrix, n.matrix) == n.matrix
 
 
 def test_sextic_endo_basics(sextic):
@@ -240,9 +249,9 @@ def test_sextic_endo_basics(sextic):
     assert len(e.unknowns) == 28
     sys_ = constraint_system(e)
     assert sys_.equations
-    ident = numeric_instantiate(e, identity_bindings(e))
+    ident = numeric_instantiate(e, identity_point(e))
     assert ident.is_automorphism
-    assert all(p.evaluate(identity_bindings(e)) == 0 for p in sys_.equations)
+    assert all(p.evaluate(identity_point(e)) == 0 for p in sys_.equations)
 
 
 def test_substitute_and_bindings():

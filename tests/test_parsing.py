@@ -98,3 +98,11 @@ def test_parse_bindings():
         parse_bindings("A = 1\nA = 2", ring)
     with pytest.raises(ParseError):
         parse_bindings("A + 1", ring)
+
+
+def test_parse_bindings_rejects_a_symbol_both_bound_and_free():
+    ring = PolyRing(("A", "B", "C"), QQ)
+    for text, line in (("B = 0\nfree: A, B, C", 2), ("free: A, B, C\nB = 0", 2)):
+        with pytest.raises(ParseError, match="'B' is both bound and free") as err:
+            parse_bindings(text, ring)
+        assert err.value.line == line

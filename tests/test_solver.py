@@ -309,6 +309,29 @@ def test_close_branch_settles_a_guarded_pair_over_an_extension():
     assert "A = 0 (inconsistent-constants)" in leaf.detail
 
 
+def test_close_branch_finishes_each_root_child():
+    # called directly, close_branch reaches the arms solve() never does: a
+    # root child with no equations left becomes a family, and a child that
+    # still has equations is finished by recursion
+    ring = PolyRing(("U", "V"), QQ)
+    U, V = ring.var("U"), ring.var("V")
+
+    def leaves(equations):
+        return close_branch(Branch(ring, equations, ring.one(), {}, [], ("t",), 0))
+
+    fams = leaves([U**2 - 1])
+    assert all(isinstance(f, SolutionFamily) for f in fams)
+    assert [f.path for f in fams] == [("t", "U = -1"), ("t", "U = 1")]
+
+    fams = leaves([U**2 - 1, U * V - 1])
+    assert all(isinstance(f, SolutionFamily) for f in fams)
+    assert [f.bindings["V"] for f in fams] == [ring.const(-1), ring.const(1)]
+
+    res = leaves([U**2 - 1, V**2 - 2])
+    assert all(isinstance(r, Residual) for r in res)
+    assert [r.reason for r in res] == ["could not enumerate the roots of V^2 - 2"] * 2
+
+
 # -- the shipped algebras ----------------------------------------------------
 
 
