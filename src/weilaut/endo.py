@@ -5,15 +5,21 @@ nilpotent basis monomials with one fresh unknown per coordinate; extending it
 multiplicatively and reducing by normal forms produces the matrix of the map
 and the polynomial constraints characterizing homomorphisms. The same
 structure-constant products drive fully numeric instantiation, which serves
-as the independent ground truth for every derived equation.
+as the independent ground truth for every derived equation. That check runs
+on Python ints: the images and the structure constants are cleared of
+denominators once, and invertibility is a fraction-free Bareiss determinant
+of the nil block.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import floordiv
 
 from .scalar import QQ
 from .poly import PolyRing, Polynomial
-from .weil import structure_product
-from .linalg import bareiss_determinant, filtered_determinant, rref
+from .weil import integral_copy, structure_product
+# rref is unused here but stays importable: bench/tracer.py patches endo.rref
+from .linalg import bareiss_determinant, filtered_determinant, rref  # noqa: F401
 
 
 class EndoError(ValueError):
@@ -253,35 +259,64 @@ class NumericEndo:
 
 
 def numeric_instantiate(endo, values):
-    """Instantiate every unknown and test multiplicativity from scratch."""
+    """Instantiate every unknown and test multiplicativity from scratch.
+
+    values maps each unknown to a rational number, an int or a Fraction;
+    anything else (a FieldElement, a float) is an EndoError. matrix holds
+    the Fraction coordinates of the image of every basis monomial. The map
+    is a homomorphism when phi(e_i * e_j) = phi(e_i) * phi(e_j) for every
+    pair of basis elements (failing_pairs lists the others, in order), and
+    an automorphism when it is also bijective on the nilradical.
+
+    The work is done in Python ints. The variable images are cleared to a
+    common denominator D and the structure constants to Q (integral_copy),
+    so the row of a degree-d basis monomial e is (Q*D)^d * phi(e), built by
+    the same recursion as the symbolic images. Each pair is compared with
+    both sides scaled to (Q*D)^m, m the largest degree involved, and the
+    nil block is tested by a fraction-free Bareiss determinant.
+    """
     alg = endo.algebra
     missing = [u for u in endo.unknowns if u not in values]
     if missing:
         raise EndoError("unbound unknowns: %s" % ", ".join(missing))
-    images = {}
-    for v, coords in endo.images.items():
-        images[v] = [c.evaluate(values) if c else Fraction(0) for c in coords]
-
+    for u in endo.unknowns:
+        if not isinstance(values[u], (int, Fraction)):
+            raise EndoError("value of %s is not rational: %r" % (u, values[u]))
+    rational = {v: [c.evaluate(values) if c else 0 for c in coords] for v, coords in endo.images.items()}
+    d = lcm(*(x.denominator for coords in rational.values() for x in coords))
+    images = {
+        v: [x.numerator * (d // x.denominator) for x in coords] for v, coords in rational.items()
+    }
+    q, integral = integral_copy(alg)
     cache = {}
-    rows = [_monomial_image(alg, images, e, Fraction(0), Fraction(1), cache) for e in alg.basis]
+    rows = [_monomial_image(integral, images, e, 0, 1, cache) for e in alg.basis]
+    degree = [sum(e) for e in alg.basis]
+    scale = [1]  # powers of Q*D
+    for _ in range(2 * max(degree)):
+        scale.append(scale[-1] * (q * d))
+
     failing = []
+    table = integral.structure_pairs
     for i in range(alg.dim):
         for j in range(i, alg.dim):
-            lhs = None
-            for k, c in alg.structure_pairs[i][j]:
-                term = [x * c for x in rows[k]]
-                lhs = term if lhs is None else [a + b for a, b in zip(lhs, term)]
-            if lhs is None:
-                lhs = [Fraction(0)] * alg.dim
-            rhs = structure_product(alg, rows[i], rows[j], Fraction(0))
-            if any(a != b for a, b in zip(lhs, rhs)):
+            # Q*(Q*D)^m times each side of phi(e_i * e_j) = phi(e_i) * phi(e_j)
+            pairs = table[i][j]
+            m = max([degree[i] + degree[j]] + [degree[k] for k, _ in pairs])
+            lhs = [0] * alg.dim
+            for k, c in pairs:
+                f = c * scale[m - degree[k]]
+                lhs = [a + f * x for a, x in zip(lhs, rows[k])]
+            rhs = structure_product(integral, rows[i], rows[j], 0)
+            f = scale[m - degree[i] - degree[j]]
+            if lhs != (rhs if f == 1 else [f * x for x in rhs]):
                 failing.append((alg.ring.monomial_str(alg.basis[i]), alg.ring.monomial_str(alg.basis[j])))
     out = NumericEndo.__new__(NumericEndo)
     out.algebra = alg
-    out.matrix = rows
+    out.matrix = [[Fraction(x, scale[t]) for x in row] for row, t in zip(rows, degree)]
     out.is_homomorphism = not failing
     out.failing_pairs = failing
     nil = alg.nil_indices
-    nilrank = len(rref([[rows[i][j] for j in nil] for i in nil])[1])
-    out.is_automorphism = out.is_homomorphism and nilrank == len(nil)
+    out.is_automorphism = out.is_homomorphism and (
+        not nil or bareiss_determinant([[rows[i][j] for j in nil] for i in nil], floordiv) != 0
+    )
     return out

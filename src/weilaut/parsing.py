@@ -324,11 +324,13 @@ def parse_bindings(text, ring):
     """Bindings file: SYMBOL = polynomial, free: names, nonzero: names.
 
     A symbol is either bound or free: naming a bound symbol under free:
-    (before or after its binding) is an error.
+    (before or after its binding) is an error. Every nonzero: name must be
+    listed under free:, anywhere in the file.
     """
     bindings = {}
     free = []
     nonzero = []
+    nonzero_lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -341,7 +343,10 @@ def parse_bindings(text, ring):
             free.extend(names)
             continue
         if line.startswith("nonzero:"):
-            nonzero.extend(_names_from_csv(line[len("nonzero:"):], ring, lineno))
+            names = _names_from_csv(line[len("nonzero:"):], ring, lineno)
+            for name in names:
+                nonzero_lines.setdefault(name, lineno)
+            nonzero.extend(names)
             continue
         if "=" not in line:
             raise ParseError("expected 'SYMBOL = polynomial'", lineno, 1)
@@ -357,6 +362,9 @@ def parse_bindings(text, ring):
             bindings[sym] = parse_polynomial(rhs, ring)
         except ParseError as exc:
             raise ParseError("in binding for %s: %s" % (sym, exc), lineno, 1)
+    for name, lineno in nonzero_lines.items():
+        if name not in free:
+            raise ParseError("nonzero symbol %r is not listed under free:" % name, lineno, 1)
     return {"bindings": bindings, "free": free, "nonzero": nonzero}
 
 

@@ -312,30 +312,28 @@ class Polynomial:
         return Polynomial(ring, out)
 
     def evaluate(self, values):
-        """Evaluate at scalars; every used variable must be given."""
-        ring = self.ring
-        vals = [None] * len(ring.vars)
-        for v, x in values.items():
-            vals[ring.index[v]] = x
-        maxe = [0] * len(ring.vars)
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k > maxe[i]:
-                    maxe[i] = k
-        pows = []
-        for i, m in enumerate(maxe):
-            if m and vals[i] is None:
-                raise PolyError("no value for %s" % ring.vars[i])
-            row = [1]
-            for _ in range(m):
-                row.append(row[-1] * vals[i])
-            pows.append(row)
-        acc = ring.domain.coerce(0)
+        """Evaluate at scalars; every used variable must be given.
+
+        Only the variables that occur in a term are looked up in values, so
+        the cost does not grow with the number of variables of the ring.
+        """
+        names = self.ring.vars
+        powers = {}  # variable position -> [1, x, x^2, ...]
+        acc = self.ring.domain.coerce(0)
         for e, c in self.terms.items():
             t = c
             for i, k in enumerate(e):
-                if k:
-                    t = t * pows[i][k]
+                if not k:
+                    continue
+                row = powers.get(i)
+                if row is None:
+                    x = values.get(names[i])
+                    if x is None:
+                        raise PolyError("no value for %s" % names[i])
+                    row = powers[i] = [1, x]
+                while len(row) <= k:
+                    row.append(row[-1] * row[1])
+                t = t * row[k]
             acc = acc + t
         return acc
 

@@ -5,10 +5,12 @@ is Q[vars]/(relations + all monomials of degree r+1). The basis is the
 ascending list of standard monomials, 1 first. An element is its list of
 coordinates in that basis; products are cached as structure constants, so
 one multiplication, structure_product, drives both numeric elements and
-symbolic endomorphism images.
+symbolic endomorphism images. integral_copy rescales the constants to
+integers for the numeric check, which then never leaves Python ints.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .scalar import QQ
 from .poly import PolyRing, Polynomial, monomials
@@ -65,6 +67,7 @@ class WeilAlgebra:
         "nil_indices",
         "nil_power_indices",
         "nilpotency_order",
+        "_integral",
     )
 
     def basis_names(self):
@@ -113,6 +116,28 @@ def structure_product(algebra, u, v, zero):
     return [zero if x is None else x for x in out]
 
 
+def integral_copy(algebra):
+    """(Q, B): B is the algebra with every structure constant multiplied by Q.
+
+    Q is the lcm of the constants' denominators, so B's table holds ints and
+    B's product is Q times the algebra's: structure_product over B stays in
+    Python ints. Built on first use and cached, since only the numeric
+    product check needs it.
+    """
+    if algebra._integral is None:
+        table = algebra.structure_pairs
+        q = lcm(*(c.denominator for row in table for pairs in row for _, c in pairs))
+        scaled = WeilAlgebra.__new__(WeilAlgebra)
+        for name in WeilAlgebra.__slots__:
+            setattr(scaled, name, getattr(algebra, name))
+        scaled.structure_pairs = tuple(
+            tuple(tuple((k, c.numerator * (q // c.denominator)) for k, c in pairs) for pairs in row)
+            for row in table
+        )
+        algebra._integral = (q, scaled)
+    return algebra._integral
+
+
 def build_algebra(spec):
     ring = spec.ring
     ideal = IdealPresentation(ring, spec.relations, spec.order)
@@ -139,6 +164,7 @@ def build_algebra(spec):
         pairs_table.append(tuple(prow))
     alg.structure_pairs = tuple(pairs_table)
     alg.nil_indices = tuple(range(1, alg.dim))
+    alg._integral = None
 
     # powers of the nilradical: span of normal forms of monomials of degree >= s
     r = spec.order

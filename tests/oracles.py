@@ -3,11 +3,16 @@
 Everything here is deliberately written from scratch against the underlying
 definitions (permutation expansion, Macaulay-style dense elimination), not by
 calling back into the package, so a bug in the library cannot hide behind the
-same bug in its check.
+same bug in its check. The one exception is numeric_product_check, which
+reduces polynomials with the package's normal_form (itself checked against
+the dense oracle and by criterion 5) but builds every image and product
+from polynomial products, not from structure constants.
 """
 
 from fractions import Fraction
 from itertools import permutations
+
+from weilaut.quotient import normal_form
 
 
 def perm_sign(p):
@@ -227,3 +232,64 @@ def identity_point(endo):
         exps = tuple(int(w == v) for w in alg.ring.vars)
         point[name] = Fraction(int(alg.basis[k] == exps))
     return point
+
+
+def rank(rows):
+    """Rank of a matrix of rationals, by Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            if f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def numeric_product_check(endo, values):
+    """What numeric_instantiate must return at values, from the definitions.
+
+    Returns (matrix, failing pairs, is_homomorphism, is_automorphism). The
+    unknown in slot (v, k) is the coefficient of basis monomial k in phi(v).
+    phi of a basis monomial is the normal form of the product of its
+    variables' images, one factor at a time; a pair (e_i, e_j) fails when
+    the normal form of phi(e_i) * phi(e_j) differs from phi applied to the
+    normal form of e_i * e_j. An automorphism is a homomorphism whose
+    nil block has full rank.
+    """
+    alg = endo.algebra
+    ring, basis, gb = alg.ring, alg.basis, alg.gb
+    position = {e: k for k, e in enumerate(basis)}
+    image = {v: ring.zero() for v in ring.vars}
+    for name, (v, k) in endo.unknown_slots.items():
+        image[v] = image[v] + ring.monomial(basis[k], Fraction(values[name]))
+    phi = []
+    for exps in basis:
+        p = ring.one()
+        for v, times in zip(ring.vars, exps):
+            for _ in range(times):
+                p = normal_form(p * image[v], gb)
+        phi.append(p)
+
+    def coords(p):
+        return [Fraction(p.terms.get(e, 0)) for e in basis]
+
+    names = alg.basis_names()
+    failing = []
+    for i in range(alg.dim):
+        for j in range(i, alg.dim):
+            product = normal_form(ring.monomial(tuple(a + b for a, b in zip(basis[i], basis[j]))), gb)
+            lhs = ring.zero()
+            for e, c in product.terms.items():
+                lhs = lhs + phi[position[e]] * c
+            if coords(lhs) != coords(normal_form(phi[i] * phi[j], gb)):
+                failing.append((names[i], names[j]))
+    matrix = [coords(p) for p in phi]
+    nil = alg.nil_indices
+    invertible = rank(principal(matrix, nil)) == len(nil)
+    return matrix, failing, not failing, not failing and invertible

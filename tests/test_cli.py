@@ -150,6 +150,21 @@ def test_verify_rejects_a_symbol_both_bound_and_free(tmp_path, capsys):
     assert "sample" not in captured.out
 
 
+def test_verify_rejects_a_nonzero_symbol_that_is_not_free(tmp_path, capsys):
+    # the shipped quartic family with its bound B (= 0) also declared
+    # nonzero: the family is empty, so the file must not verify
+    shipped = spec_path("quartic").replace("quartic.alg", "quartic_family.bindings")
+    with open(shipped, encoding="utf-8") as fh:
+        text = fh.read()
+    bad = tmp_path / "nonzero.bindings"
+    bad.write_text(text.replace("nonzero: A", "nonzero: A, B"))
+    code = main(["verify", spec_path("quartic"), str(bad), "--samples", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "nonzero symbol 'B' is not listed under free: (line 7, col 1)" in captured.err
+    assert "sample" not in captured.out
+
+
 def test_verify_rejects_uncovered_unknowns(tmp_path, capsys):
     bad = tmp_path / "partial.bindings"
     bad.write_text("B = 1\n")

@@ -1,10 +1,11 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from weilaut.parsing import parse_specfile
-from weilaut.weil import build_algebra
+from weilaut.weil import build_algebra, integral_copy
 from weilaut.endo import (
     EndoError,
     constraint_system,
@@ -19,9 +20,12 @@ from weilaut.endo import (
 from weilaut.linalg import bareiss_determinant
 from weilaut.scalar import QQ, ExtensionField, FieldElement
 from weilaut.poly import PolyError, PolyRing
+from weilaut.solver import solve
 from weilaut.specdata import spec_path
 
-from oracles import degree_one, identity_point, matmul, principal
+from oracles import degree_one, identity_point, matmul, numeric_product_check, principal
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus.alg")
 
 
 def load(name):
@@ -298,3 +302,104 @@ def test_monomial_images_symbolic_equal_numeric(quartic):
     sym = [[p.evaluate(vals) for p in e.image_of_monomial(b)] for b in quartic.basis]
     assert sym == n.matrix
     assert sym[0] == [1] + [0] * (quartic.dim - 1)
+
+
+def linear_point(endo, images):
+    """Values making phi(v) = sum of c * w over images[v] = {w: c}."""
+    alg = endo.algebra
+    point = {}
+    for name, (v, k) in endo.unknown_slots.items():
+        exps = alg.basis[k]
+        w = alg.ring.vars[exps.index(1)] if sum(exps) == 1 else None
+        point[name] = Fraction(images[v].get(w, 0))
+    return point
+
+
+def assert_matches_the_oracle(endo, point):
+    n = numeric_instantiate(endo, point)
+    matrix, failing, hom, aut = numeric_product_check(endo, point)
+    assert n.matrix == matrix
+    assert all(type(x) is Fraction for row in n.matrix for x in row)
+    assert n.failing_pairs == failing
+    assert n.is_homomorphism == hom
+    assert n.is_automorphism == aut
+    return n
+
+
+def test_numeric_instantiate_with_fractional_structure_constants():
+    # X^2 = 2/3 Y^2, so the integral copy of the structure table is scaled
+    # by Q = 3 and every product carries that factor
+    alg = build_algebra(
+        parse_specfile("algebra q { vars: X, Y; order: 3; relations: 3*X^2 - 2*Y^2; }")[0]
+    )
+    assert integral_copy(alg)[0] == 3
+    e = generic_endo(alg)
+    two_thirds = Fraction(2, 3)
+    cases = [
+        (identity_point(e), True, True),
+        (linear_point(e, {"X": {"X": two_thirds}, "Y": {"Y": two_thirds}}), True, True),
+        (linear_point(e, {"X": {"X": -1}, "Y": {"Y": 1}}), True, True),
+        (linear_point(e, {"X": {}, "Y": {}}), True, False),
+    ]
+    rng = random.Random(37)
+    for _ in range(6):
+        point = {u: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for u in e.unknowns}
+        cases.append((point, False, False))
+    for point, hom, aut in cases:
+        n = assert_matches_the_oracle(e, point)
+        assert (n.is_homomorphism, n.is_automorphism) == (hom, aut)
+
+
+def family_points(endo, rng, count):
+    """Points of the solver's rational families, free values with denominators up to 3."""
+    families = [f for f in solve(constraint_system(endo)).families if f.ring.domain is QQ]
+    points = []
+    while len(points) < count:
+        fam = families[len(points) % len(families)]
+        vals = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for v in fam.free}
+        if any(vals[v] == 0 for v in fam.nonzero) or any(c.evaluate(vals) == 0 for c in fam.conditions):
+            continue
+        point = dict(vals)
+        point.update((name, p.evaluate(vals)) for name, p in fam.bindings.items())
+        points.append(point)
+    return points
+
+
+@pytest.mark.parametrize("name", ["tangent2", "quartic", "sextic", "tan4"])
+def test_numeric_instantiate_matches_the_oracle(name):
+    if name == "tan4":
+        with open(CORPUS) as fh:
+            alg = build_algebra(next(s for s in parse_specfile(fh.read()) if s.name == name))
+    else:
+        alg = load(name + ".alg")
+    e = generic_endo(alg)
+    double = {v: {v: 2} for v in alg.ring.vars}
+    swap = dict(zip(alg.ring.vars, ({w: 1} for w in reversed(alg.ring.vars))))
+    points = [
+        identity_point(e),
+        linear_point(e, {v: {} for v in alg.ring.vars}),
+        linear_point(e, double),
+        linear_point(e, swap),
+    ]
+    rng = random.Random(41 + alg.dim)
+    for _ in range(2):
+        points.append({u: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for u in e.unknowns})
+    # family points with fractional values: on the sextic, X^3 = -Y^4 makes
+    # pairs whose product has terms of lower degree than the pair; tan4's
+    # relations are monomials, so its linear points already cover it
+    family = family_points(e, rng, 2) if name != "tan4" else []
+    outcomes = [assert_matches_the_oracle(e, point) for point in points + family]
+    assert outcomes[0].is_automorphism
+    assert outcomes[1].is_homomorphism and not outcomes[1].is_automorphism
+    assert any(not n.is_homomorphism for n in outcomes[4:6])
+    assert all(n.is_automorphism for n in outcomes[6:])
+
+
+def test_numeric_instantiate_takes_rational_values_only(tangent2):
+    e = generic_endo(tangent2)
+    point = identity_point(e)
+    field = ExtensionField((-2, 0, 1), (1, 2))
+    for bad in (0.5, field.element((0, 1)), "1"):
+        with pytest.raises(EndoError, match="value of B is not rational"):
+            numeric_instantiate(e, dict(point, B=bad))
+    assert numeric_instantiate(e, dict(point, B=0)).is_automorphism

@@ -106,3 +106,18 @@ def test_parse_bindings_rejects_a_symbol_both_bound_and_free():
         with pytest.raises(ParseError, match="'B' is both bound and free") as err:
             parse_bindings(text, ring)
         assert err.value.line == line
+
+
+def test_parse_bindings_rejects_a_nonzero_symbol_that_is_not_free():
+    ring = PolyRing(("A", "B", "C"), QQ)
+    for text, line in (
+        ("B = 0\nfree: A, C\nnonzero: A, B", 3),
+        ("nonzero: B, A\nB = 0\nfree: A, C", 1),
+        ("nonzero: C\nfree: A, B", 1),
+    ):
+        with pytest.raises(ParseError, match="nonzero symbol '[BC]' is not listed under free:") as err:
+            parse_bindings(text, ring)
+        assert err.value.line == line
+    # free: may come after nonzero:
+    out = parse_bindings("nonzero: A\nB = 0\nfree: A, C", ring)
+    assert out["nonzero"] == ["A"] and out["free"] == ["A", "C"]
