@@ -12,14 +12,14 @@ of the nil block.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from operator import floordiv
 
 from .scalar import QQ
 from .poly import PolyRing, Polynomial
 from .weil import integral_copy, structure_product
 # rref is unused here but stays importable: bench/tracer.py patches endo.rref
-from .linalg import bareiss_determinant, filtered_determinant, rref  # noqa: F401
+from .linalg import bareiss_determinant, check_block_triangular, rref  # noqa: F401
 
 
 class EndoError(ValueError):
@@ -119,6 +119,14 @@ def generic_endo(algebra):
     return SymbolicEndo(algebra, ring, names, images, slots)
 
 
+def symmetric_power_exponent(n, d):
+    """k with det Sym^d(L) = det(L)^k for every linear map L of an n-space.
+
+    k = d*N/n with N = C(n+d-1, d) = dim Sym^d, which is C(n+d-1, d-1).
+    """
+    return comb(n + d - 1, d - 1)
+
+
 class SymbolicMatrix:
     __slots__ = ("ring", "entries", "labels")
 
@@ -132,18 +140,31 @@ class SymbolicMatrix:
         self.entries = [list(row) for row in entries]
         self.labels = list(labels)
 
-    def det(self, blocks=None):
+    def det(self, pieces=None):
         """Exact determinant, 1 for the empty matrix.
 
-        With blocks, the matrix must be block upper-triangular along them
-        and the result is the product of the diagonal blocks' determinants
-        (linalg.filtered_determinant).
+        pieces, when given, must be algebra.graded_pieces() and the matrix
+        the nil block of an endomorphism of that algebra (extend_to_matrix).
+        The matrix is then checked to be block upper-triangular along the
+        pieces, and its determinant is the product of the diagonal blocks'.
+        A piece d of full size C(n+d-1, d), n = len(pieces[0]), is
+        Sym^d(m/m^2), so its block's determinant is det(M1) to the power
+        symmetric_power_exponent(n, d); only the other pieces take Bareiss.
         """
         if not self.entries:
             return self.ring.one()
-        if blocks is None:
+        if pieces is None:
             return bareiss_determinant(self.entries, Polynomial.exact_div)
-        return filtered_determinant(self.entries, blocks, Polynomial.exact_div)
+        check_block_triangular(self.entries, pieces)
+        n = len(pieces[0])
+        power = 0
+        rest = self.ring.one()
+        for d, piece in enumerate(pieces, start=1):
+            if len(piece) == comb(n + d - 1, d):
+                power += symmetric_power_exponent(n, d)
+            else:
+                rest = rest * self.block(piece).det()
+        return self.block(pieces[0]).det() ** power * rest
 
     def block(self, positions):
         """The principal submatrix on the given positions."""
@@ -255,7 +276,20 @@ def substitute(matrix, bindings):
 
 
 class NumericEndo:
-    __slots__ = ("algebra", "matrix", "is_homomorphism", "is_automorphism", "failing_pairs")
+    __slots__ = (
+        "algebra", "is_homomorphism", "is_automorphism", "failing_pairs", "_rows", "_scales", "_matrix"
+    )
+
+    @property
+    def matrix(self):
+        """Fraction coordinates of the image of every basis monomial.
+
+        Built on first read from the integer rows and their scales: the
+        product check itself never needs them.
+        """
+        if self._matrix is None:
+            self._matrix = [[Fraction(x, s) for x in row] for row, s in zip(self._rows, self._scales)]
+        return self._matrix
 
 
 def numeric_instantiate(endo, values):
@@ -263,7 +297,8 @@ def numeric_instantiate(endo, values):
 
     values maps each unknown to a rational number, an int or a Fraction;
     anything else (a FieldElement, a float) is an EndoError. matrix holds
-    the Fraction coordinates of the image of every basis monomial. The map
+    the Fraction coordinates of the image of every basis monomial, built
+    when it is first read. The map
     is a homomorphism when phi(e_i * e_j) = phi(e_i) * phi(e_j) for every
     pair of basis elements (failing_pairs lists the others, in order), and
     an automorphism when it is also bijective on the nilradical.
@@ -312,7 +347,9 @@ def numeric_instantiate(endo, values):
                 failing.append((alg.ring.monomial_str(alg.basis[i]), alg.ring.monomial_str(alg.basis[j])))
     out = NumericEndo.__new__(NumericEndo)
     out.algebra = alg
-    out.matrix = [[Fraction(x, scale[t]) for x in row] for row, t in zip(rows, degree)]
+    out._rows = rows
+    out._scales = [scale[t] for t in degree]
+    out._matrix = None
     out.is_homomorphism = not failing
     out.failing_pairs = failing
     nil = alg.nil_indices

@@ -43,12 +43,13 @@ def bareiss_determinant(rows, exact_div):
     return det if sign == 1 else -det
 
 
-def filtered_determinant(rows, blocks, exact_div):
-    """Determinant of a matrix that is block upper-triangular along blocks.
+def check_block_triangular(rows, blocks):
+    """Raise LinalgError unless rows is block upper-triangular along blocks.
 
-    blocks partitions the row/column positions into pieces 1, 2, ...; every
-    entry in a row of piece d and a column of a piece before d must be zero.
-    The determinant is then the product of the diagonal blocks' determinants.
+    blocks must partition the row/column positions into pieces 1, 2, ...,
+    and every entry in a row of piece d and a column of a piece before d
+    must be zero. Every entry is checked, by an explicit raise rather than
+    an assert, so the check also holds under python -O.
     """
     n = len(rows)
     if n == 0:
@@ -69,6 +70,15 @@ def filtered_determinant(rows, blocks, exact_div):
                 raise LinalgError(
                     "entry (%d, %d) breaks block triangularity" % (i, j)
                 )
+
+
+def filtered_determinant(rows, blocks, exact_div):
+    """Determinant of a matrix that is block upper-triangular along blocks.
+
+    The matrix must pass check_block_triangular; the determinant is then the
+    product of the diagonal blocks' determinants.
+    """
+    check_block_triangular(rows, blocks)
     det = None
     for block in blocks:
         d = bareiss_determinant([[rows[i][j] for j in block] for i in block], exact_div)

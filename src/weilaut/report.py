@@ -95,11 +95,14 @@ def family_determinants(endo, fam):
     """Exact det M, det M1 and the diagonal of M on one family.
 
     A family preserves m > m^2 > ..., so M is block upper-triangular along
-    the graded pieces m^d/m^(d+1): det M is the product of the diagonal
-    blocks' determinants. det M1, the first block's, is the solver's
-    invertibility polynomial after the family's bindings. A family over an
-    extension field has its bindings in its own ring, so M is lifted into
-    that ring first.
+    the graded pieces m^d/m^(d+1) (checked on every entry): det M is the
+    product of the diagonal blocks' determinants. A piece of full size
+    C(n+d-1, d), n the size of piece 1, is Sym^d(m/m^2), and its block's
+    determinant is det(B1)^C(n+d-1, d-1), B1 the piece-1 block; only the
+    other pieces take Bareiss (SymbolicMatrix.det). det M1, B1's
+    determinant, is the solver's invertibility polynomial after the
+    family's bindings. A family over an extension field has its bindings in
+    its own ring, so M is lifted into that ring first.
     """
     full = extend_to_matrix(endo)
     ring = fam.ring

@@ -172,7 +172,9 @@ def _push_guard(g, guards, seen):
 def _bind(br, name, value, *atoms):
     """Substitute name := value everywhere and append atoms to the path.
 
-    Guards on name are transferred.
+    Guards on name are transferred. A guard without name comes back from
+    substitute as itself and is already normalized, so only its repeat
+    check is needed.
     """
     sub = {name: value}
     out = br.copy()
@@ -184,7 +186,14 @@ def _bind(br, name, value, *atoms):
     out.guards = []
     seen = set()
     for g in br.guards:
-        _push_guard(g.substitute(sub), out.guards, seen)
+        h = g.substitute(sub)
+        if h is not g:
+            _push_guard(h, out.guards, seen)
+            continue
+        r = repr(g)
+        if r not in seen:
+            seen.add(r)
+            out.guards.append(g)
     return out
 
 

@@ -1,13 +1,15 @@
 """Family determinants along the m-adic filtration m > m^2 > ...
 
 Full Bareiss on the whole nil block is the oracle: on every family the
-product of the diagonal-block determinants must equal it, and the first
-block must give det M1.
+product of the diagonal-block determinants and the reported det M, which
+takes det(M1)^C(n+d-1, d-1) on every full-size piece d, must equal it, and
+the first block must give det M1.
 """
 
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -18,6 +20,7 @@ from weilaut.endo import (
     generic_endo,
     linear_matrix,
     substitute,
+    symmetric_power_exponent,
 )
 from weilaut.linalg import LinalgError, bareiss_determinant, filtered_determinant
 from weilaut.parsing import parse_polynomial, parse_specfile
@@ -33,7 +36,10 @@ PROBES = """
 algebra cusp { vars: X, Y; order: 4; relations: X^2 - Y^3; }
 algebra tan3 { vars: X, Y, Z; order: 3; relations: X^2, Y^2, Z^2; }
 algebra jet23 { vars: X, Y; order: 3; relations: ; }
+algebra jet24 { vars: X, Y; order: 4; relations: ; }
 algebra jet32 { vars: X, Y, Z; order: 2; relations: ; }
+algebra line { vars: X, Y; order: 3; relations: X - Y; }
+algebra xy { vars: X, Y; order: 3; relations: X*Y; }
 """
 
 SHIPPED = ("tangent2", "quartic", "sextic")
@@ -64,9 +70,37 @@ def family_matrices(analysis, fam):
     return tuple(out)
 
 
+def full_pieces(pieces):
+    """Whether each graded piece d has the size C(n+d-1, d) of Sym^d."""
+    n = len(pieces[0])
+    return [len(p) == comb(n + d - 1, d) for d, p in enumerate(pieces, start=1)]
+
+
+@pytest.mark.parametrize(
+    "name, full",
+    (
+        ("quartic", [True, True, False, False]),
+        ("sextic", [True, True, False, False, False, False]),
+        ("tan3", [True, False, False]),
+        ("jet24", [True, True, True, True]),
+        # X = Y leaves one variable: n = 1, every piece is full
+        ("line", [True, True, True]),
+        ("xy", [True, False, False]),
+    ),
+)
+def test_which_pieces_are_symmetric_powers(name, full):
+    assert full_pieces(build_algebra(load(name)).graded_pieces()) == full
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_power_exponent_is_d_times_size_over_n(n):
+    for d in range(1, 8):
+        assert symmetric_power_exponent(n, d) * n == d * comb(n + d - 1, d)
+
+
 @pytest.mark.parametrize("flip", (False, True), ids=("shipped", "reversed"))
 @pytest.mark.parametrize(
-    "name", SHIPPED + ("cusp", "tan3", "jet23", "jet32")
+    "name", SHIPPED + ("cusp", "tan3", "jet23", "jet24", "jet32", "line", "xy")
 )
 def test_block_product_equals_full_bareiss(name, flip):
     spec = load(name)
@@ -122,6 +156,9 @@ def test_generic_cusp_matrix_is_not_block_triangular():
     rows, pieces = cusp_generic_nil_matrix()
     with pytest.raises(LinalgError):
         filtered_determinant(rows, pieces, div)
+    ring = rows[0][0].ring
+    with pytest.raises(LinalgError):
+        SymbolicMatrix(ring, rows, [""] * len(rows)).det(pieces)
 
 
 def test_triangularity_check_survives_optimized_python():
@@ -129,13 +166,16 @@ def test_triangularity_check_survives_optimized_python():
         "import sys",
         "sys.path.insert(0, %r)" % os.path.dirname(__file__),
         "from test_filtration import cusp_generic_nil_matrix, div",
+        "from weilaut.endo import SymbolicMatrix",
         "from weilaut.linalg import LinalgError, filtered_determinant",
         "assert False, 'asserts are on'",
         "rows, pieces = cusp_generic_nil_matrix()",
-        "try:",
-        "    filtered_determinant(rows, pieces, div)",
-        "except LinalgError:",
-        "    print('raised')",
+        "matrix = SymbolicMatrix(rows[0][0].ring, rows, [''] * len(rows))",
+        "for det in (lambda: filtered_determinant(rows, pieces, div), lambda: matrix.det(pieces)):",
+        "    try:",
+        "        det()",
+        "    except LinalgError:",
+        "        print('raised')",
     ))
     src = os.path.dirname(os.path.dirname(os.path.abspath(weilaut.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -143,7 +183,7 @@ def test_triangularity_check_survives_optimized_python():
         [sys.executable, "-O", "-c", code],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout == "raised\n"
+    assert out.stdout == "raised\nraised\n"
 
 
 def test_blocks_must_partition_the_matrix():
