@@ -21,7 +21,7 @@ from .report import (
     render_solve_text,
 )
 from .scalar import FieldError
-from .solver import SolverError
+from .solver import BRANCH_BUDGET, BUDGET_EXHAUSTED, SolverError
 from .weil import WeilError, build_algebra
 
 COMMANDS = ("basis", "table", "constraints", "solve", "verify", "report")
@@ -169,6 +169,13 @@ def cmd_solve(args, renderer=render_solve_text):
     sys.stdout.write(renderer(analysis, report))
     if args.json:
         _write_json(args.json, report)
+    open_branches = sum(1 for r in analysis.result.residuals if r.reason == BUDGET_EXHAUSTED)
+    if open_branches:
+        print(
+            "warning: branch budget %d exhausted, %d branches left open"
+            % (BRANCH_BUDGET, open_branches),
+            file=sys.stderr,
+        )
     return 0 if analysis.result.closed() else 2
 
 
@@ -184,6 +191,8 @@ def _sample_value(rng, strict):
 
 
 def cmd_verify(args):
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1, got %d" % args.samples)
     spec = load_spec(args)
     endo = generic_endo(build_algebra(spec))
     with open(args.bindingsfile, "r", encoding="utf-8") as fh:

@@ -247,25 +247,46 @@ def resolve_bindings(ring, bindings):
             raise EndoError("unknown symbol %r in bindings" % k)
         bnd[k] = ring.coerce(v)
     resolved = {}
-    visiting = []
-
-    def resolve(name):
-        if name in resolved:
-            return resolved[name]
-        if name in visiting:
-            raise EndoError("cyclic bindings through %s" % " -> ".join(visiting + [name]))
-        visiting.append(name)
-        p = bnd[name]
-        deps = {v for v in p.vars_used() if v in bnd}
-        if deps:
-            p = p.substitute({v: resolve(v) for v in deps})
-        visiting.pop()
-        resolved[name] = p
-        return p
-
     for k in bnd:
-        resolve(k)
+        _resolve(k, bnd, resolved, [])
     return resolved
+
+
+def _resolve(name, bnd, resolved, visiting):
+    # a module-level function, not a closure: a closure that calls itself
+    # is a reference cycle, which kept every binding alive until the next
+    # garbage collection
+    if name in resolved:
+        return resolved[name]
+    if name in visiting:
+        raise EndoError("cyclic bindings through %s" % " -> ".join(visiting + [name]))
+    visiting.append(name)
+    p = bnd[name]
+    deps = {v for v in p.vars_used() if v in bnd}
+    if deps:
+        p = p.substitute({v: _resolve(v, bnd, resolved, visiting) for v in deps})
+    visiting.pop()
+    resolved[name] = p
+    return p
+
+
+def specialize(endo, ring, bindings):
+    """endo over ring (the same variables, a field containing endo's), with
+    the bindings substituted into its variable images.
+
+    Substitution is a ring homomorphism, so extending the specialized images
+    gives the substituted matrix of endo, entry for entry. With nothing
+    bound and nothing to lift this is endo itself, whose images are
+    already extended.
+    """
+    images = endo.images
+    if ring is not endo.ring:
+        images = {v: [ring.lift(p) for p in coords] for v, coords in images.items()}
+    elif not bindings:
+        return endo
+    closed = resolve_bindings(ring, bindings)
+    images = {v: [p.substitute(closed) for p in coords] for v, coords in images.items()}
+    return SymbolicEndo(endo.algebra, ring, endo.unknowns, images, endo.unknown_slots)
 
 
 def substitute(matrix, bindings):

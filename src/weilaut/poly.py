@@ -8,10 +8,16 @@ variables.
 
 A polynomial is immutable once built: every operation returns a new one (or
 the operand itself when nothing changes), and no code writes its terms dict
-after construction. The rendering cache in __repr__ relies on this.
+after construction. Every cache on a polynomial relies on this: its
+rendering (__repr__), its variable set (vars_used), its primitive form
+(primitive) and its linear leads (linear_leads) are each computed once, on
+first use, and stay valid for the polynomial's lifetime. Because substitute
+returns the operand itself when a binding does not touch it, the facts
+survive a solver step for every equation the step leaves alone.
 """
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 from operator import add, itemgetter
 
@@ -110,11 +116,9 @@ class PolyRing:
 
     def monomial_str(self, exps):
         parts = []
-        for v, e in zip(self.vars, exps):
-            if e == 1:
-                parts.append(v)
-            elif e > 1:
-                parts.append("%s^%d" % (v, e))
+        # the variables with a nonzero exponent, paired with it
+        for v, e in zip(compress(self.vars, exps), filter(None, exps)):
+            parts.append(v if e == 1 else "%s^%d" % (v, e))
         return "*".join(parts) if parts else "1"
 
 
@@ -130,12 +134,18 @@ def _coeff_str(c):
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_repr")
+    # _primitive is None before primitive() is first called, True when the
+    # polynomial is its own primitive form (a flag, not a reference to
+    # itself, so no polynomial keeps itself alive), else the primitive form
+    __slots__ = ("ring", "terms", "_repr", "_vars", "_primitive", "_leads")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
         self._repr = None
+        self._vars = None
+        self._primitive = None
+        self._leads = None
 
     # -- basics ------------------------------------------------------------
 
@@ -166,12 +176,28 @@ class Polynomial:
         return max((e[i] for e in self.terms), default=-1)
 
     def vars_used(self):
-        used = set()
-        for e in self.terms:
-            for v, k in zip(self.ring.vars, e):
-                if k:
-                    used.add(v)
-        return used
+        """The frozenset of the variables that occur in some term."""
+        if self._vars is None:
+            names = self.ring.vars
+            self._vars = frozenset().union(*(compress(names, e) for e in self.terms))
+        return self._vars
+
+    def linear_leads(self):
+        """(var, exps, coeff) for each variable of degree exactly 1 whose
+        coefficient is a single term, in ring order: self is
+        var * coeff * monomial(exps) plus terms free of var.
+        """
+        if self._leads is None:
+            index = self.ring.index
+            leads = []
+            for v in sorted(self.vars_used(), key=index.get):
+                i = index[v]
+                hits = [e for e in self.terms if e[i]]
+                if len(hits) == 1 and hits[0][i] == 1:
+                    e = hits[0]
+                    leads.append((v, e[:i] + (0,) + e[i + 1 :], self.terms[e]))
+            self._leads = tuple(leads)
+        return self._leads
 
     def constant_value(self):
         if not self.terms:
@@ -274,11 +300,8 @@ class Polynomial:
         if not mapping or not self.terms:
             return self
         ring = self.ring
-        subs = []
-        for v, p in mapping.items():
-            i = ring.index[v]
-            if any(map(itemgetter(i), self.terms)):
-                subs.append((i, ring.coerce(p)))
+        used = self.vars_used()
+        subs = [(ring.index[v], ring.coerce(p)) for v, p in mapping.items() if v in used]
         if not subs:
             return self
         pows = [{1: p} for _, p in subs]
@@ -375,8 +398,18 @@ class Polynomial:
         """Divide by the rational content, sign so the leading coeff is positive.
 
         Only meaningful when all coefficients are rational; otherwise falls
-        back to monic().
+        back to monic(). Computed once and remembered; a rational result is
+        marked as its own primitive form. (A monic result is not: its
+        coefficients may be rational with a content other than 1.)
         """
+        cached = self._primitive
+        if cached is None:
+            cached = self._make_primitive()
+            self._primitive = True if cached is self else cached
+            return cached
+        return self if cached is True else cached
+
+    def _make_primitive(self):
         if not self.terms:
             return self
         qs = []
@@ -399,7 +432,9 @@ class Polynomial:
         content = Fraction(num, den)
         if lq < 0:
             content = -content
-        return self.map_coeffs(lambda c: c * (1 / content))
+        out = self.map_coeffs(lambda c: c * (1 / content))
+        out._primitive = True
+        return out
 
     def exact_div(self, other):
         """Exact polynomial division; raises PolyError on a remainder."""

@@ -8,11 +8,12 @@ serialization round-trip exactly.
 
 import json
 
-from .endo import (
-    SymbolicMatrix,
+# substitute is unused here but stays importable: bench/tracer.py patches report.substitute
+from .endo import (  # noqa: F401
     constraint_system,
     extend_to_matrix,
     generic_endo,
+    specialize,
     substitute,
 )
 from .published import build_discrepancies, match_reference_family, reference_for
@@ -94,6 +95,12 @@ def _residual_json(res):
 def family_determinants(endo, fam):
     """Exact det M, det M1 and the diagonal of M on one family.
 
+    M is the matrix of endo with the family's bindings substituted. It is
+    built by substituting them into the variable images (lifted first into
+    the family's ring, which is an extension field when the solver adjoined
+    a root) and extending those images, not by substituting into every
+    entry of the generic matrix.
+
     A family preserves m > m^2 > ..., so M is block upper-triangular along
     the graded pieces m^d/m^(d+1) (checked on every entry): det M is the
     product of the diagonal blocks' determinants. A piece of full size
@@ -101,15 +108,9 @@ def family_determinants(endo, fam):
     determinant is det(B1)^C(n+d-1, d-1), B1 the piece-1 block; only the
     other pieces take Bareiss (SymbolicMatrix.det). det M1, B1's
     determinant, is the solver's invertibility polynomial after the
-    family's bindings. A family over an extension field has its bindings in
-    its own ring, so M is lifted into that ring first.
+    family's bindings.
     """
-    full = extend_to_matrix(endo)
-    ring = fam.ring
-    if ring is not endo.ring:
-        lifted = [[ring.lift(p) for p in row] for row in full.entries]
-        full = SymbolicMatrix(ring, lifted, full.labels)
-    full = substitute(full, fam.bindings)
+    full = extend_to_matrix(specialize(endo, fam.ring, fam.bindings))
     return {
         "full": repr(full.det(endo.algebra.graded_pieces())),
         "linear": repr(fam.nondeg_value),

@@ -23,6 +23,8 @@ from .poly import _ugcd_monic
 NONDEG_VANISHED = "nondegeneracy-vanished"
 INCONSISTENT = "inconsistent-constants"
 NO_REAL_SOLUTION = "no-real-solution"
+# the reason of every residual left queued when the branch budget runs out
+BUDGET_EXHAUSTED = "branch budget exhausted"
 
 BRANCH_BUDGET = 512
 ROOT_BOUND = 10 ** 6
@@ -113,13 +115,17 @@ class SolveResult:
 
 def _strip_guarded_content(p, guard_vars):
     """p divided by the largest monomial in the guarded variables dividing it."""
-    strip = [0] * len(p.ring.vars)
-    for v in guard_vars:
+    strip = None
+    for v in p.vars_used():
+        if v not in guard_vars:
+            continue
         i = p.ring.index[v]
-        strip[i] = min(map(itemgetter(i), p.terms))
-    if any(strip):
-        return p.divide_monomial(tuple(strip))
-    return p
+        k = min(map(itemgetter(i), p.terms))
+        if k:
+            if strip is None:
+                strip = [0] * len(p.ring.vars)
+            strip[i] = k
+    return p if strip is None else p.divide_monomial(tuple(strip))
 
 
 def _normalized_equations(equations, guard_vars):
@@ -230,8 +236,7 @@ def _is_prime(k):
     return True
 
 
-def _rule_single_term(br):
-    guard_vars = br.guard_vars()
+def _rule_single_term(br, guard_vars):
     for p in br.equations:
         if len(p.terms) != 1:
             continue
@@ -307,39 +312,50 @@ def _rule_power_bind(br):
     return None
 
 
-def _rule_linear_bind(br):
-    guard_vars = br.guard_vars()
+def _rule_linear_bind(br, guard_vars):
+    """Bind an unknown of degree 1 whose coefficient is invertible, when the
+    rest of its equation divides exactly by that coefficient.
+
+    Candidates rank constant coefficients first, then the latest unknown,
+    then the first equation; the best one whose division is exact wins.
+    """
+    ring = br.ring
     candidates = []
     for pos, p in enumerate(br.equations):
-        for u in sorted(p.vars_used(), key=br.ring.index.get):
-            if p.degree_in(u) != 1:
+        leads = p.linear_leads()
+        if not leads:
+            continue
+        unguarded = [ring.index[v] for v in p.vars_used() if v not in guard_vars]
+        for u, exps, c in leads:
+            if any(exps[i] for i in unguarded):
                 continue
-            cf = p.coeffs_in(u)
-            lead = cf[1]
-            rest = cf.get(0, br.ring.zero())
-            if not _invertible(lead, guard_vars):
-                continue
-            try:
-                value = (-rest).exact_div(lead)
-            except PolyError:
-                continue
-            # constant leads first, then the latest unknown, then the first equation
-            candidates.append((not lead.is_constant(), -br.ring.index[u], pos, u, value))
-    if not candidates:
-        return None
-    candidates.sort(key=lambda t: t[:3])
-    _, _, _, u, value = candidates[0]
-    return _bind(br, u, value, "%s = %r" % (u, value))
+            candidates.append((any(exps), -ring.index[u], pos, u, exps, c))
+    candidates.sort(key=itemgetter(0, 1, 2))
+    for _, _, pos, u, exps, c in candidates:
+        i = ring.index[u]
+        # the terms of p without u, negated, over the coefficient of u
+        rest = Polynomial(ring, {e: -v for e, v in br.equations[pos].terms.items() if not e[i]})
+        try:
+            value = rest.exact_div(Polynomial(ring, {exps: c}))
+        except PolyError:
+            continue
+        return _bind(br, u, value, "%s = %r" % (u, value))
+    return None
 
 
 def _simplify(br):
     while True:
-        br.equations = _normalized_equations(br.equations, br.guard_vars())
+        guard_vars = br.guard_vars()
+        br.equations = _normalized_equations(br.equations, guard_vars)
         if br.nondeg.is_zero():
             raise ContradictionSignal(
                 NONDEG_VANISHED, "the invertibility determinant vanished identically"
             )
-        nxt = _rule_single_term(br) or _rule_power_bind(br) or _rule_linear_bind(br)
+        nxt = (
+            _rule_single_term(br, guard_vars)
+            or _rule_power_bind(br)
+            or _rule_linear_bind(br, guard_vars)
+        )
         if nxt is None:
             return br
         br = nxt
@@ -645,7 +661,7 @@ def solve(system, max_depth=24, branch_budget=BRANCH_BUDGET):
         br = queue.pop(0)
         spent += 1
         if spent > branch_budget:
-            residuals.append(_residual(br, "branch budget exhausted"))
+            residuals.append(_residual(br, BUDGET_EXHAUSTED))
             continue
         try:
             br = _simplify(br)

@@ -111,7 +111,7 @@ def structure_product(algebra, u, v, zero):
                 continue
             uv = ui * vj
             for k, c in pairs:
-                t = uv * c
+                t = uv if c == 1 else uv * c
                 out[k] = t if out[k] is None else out[k] + t
     return [zero if x is None else x for x in out]
 

@@ -11,6 +11,7 @@ from polynomial products, not from structure constants.
 
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 from weilaut.quotient import normal_form
 
@@ -67,6 +68,27 @@ def sylvester_resultant_oracle(pc, qc):
             row[i + (n - k)] = Fraction(qc[k])
         rows.append(row)
     return permutation_determinant(rows)
+
+
+def primitive_oracle(p):
+    """Terms of p over its rational content, signed so that the leading
+    coefficient is positive; p's coefficients must have rational values.
+
+    The content is the gcd of the numerators over the lcm of the
+    denominators, taken pairwise; the leading term is the largest
+    (total degree, exponents in precedence order).
+    """
+    qs = [c.rational_value() if hasattr(c, "rational_value") else Fraction(c) for c in p.terms.values()]
+    num, den = 0, 1
+    for q in qs:
+        num = gcd(num, q.numerator)
+        den = den * q.denominator // gcd(den, q.denominator)
+    prec = p.ring.order.precedence
+    lead = max(p.terms, key=lambda e: (sum(e), [e[i] for i in prec]))
+    lc = p.terms[lead]
+    lq = lc.rational_value() if hasattr(lc, "rational_value") else Fraction(lc)
+    content = Fraction(num, den) if lq > 0 else -Fraction(num, den)
+    return {e: c / content for e, c in p.terms.items()}
 
 
 def poly_from_roots(roots):
@@ -206,8 +228,19 @@ def dense_quotient_oracle(relations, r, precedence=("X", "Y")):
 
 
 def matmul(a, b):
-    """Product of two matrices given as lists of rows."""
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+    """Product of two matrices given as lists of rows; zero entries are skipped."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * width
+        for x, brow in zip(row, b):
+            if not x:
+                continue
+            for j, y in enumerate(brow):
+                if y:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def principal(matrix, positions):

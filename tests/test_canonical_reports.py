@@ -1,6 +1,9 @@
 """Byte-identical canonical reports: the sha256 of the canonical JSON of every
 shipped algebra and every bench/corpus.alg probe, at the declared precedence
-("ship") and at the reversed one ("rev").
+("ship") and at the reversed one ("rev"), and of the solve text of the
+algebras the solver splits most. The solve text lists every contradiction
+with its path and reason, which the JSON does not, so it pins the order in
+which the solver visits and kills branches.
 
 A change meant to keep every report the same must keep these hashes. A change
 that alters a report on purpose updates the hash here and says why.
@@ -12,7 +15,7 @@ import os
 import pytest
 
 from weilaut.parsing import parse_specfile
-from weilaut.report import analyze, build_report, canonical_json
+from weilaut.report import analyze, build_report, canonical_json, render_solve_text
 from weilaut.specdata import spec_path
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus.alg")
@@ -42,6 +45,20 @@ SHA256 = {
     ("jet32", "rev"): "aa38e2f2df2e3e18ea368b6e3214c7b3af36d3587547343a2c70989ebc54f6ba",
 }
 
+SOLVE_TEXT_SHA256 = {
+    ("tangent2", "ship"): "f05a9c8b5ca124d2cd7075d3aa7eb3eddfd23cafdbd98902029a8583c2634d26",
+    ("tangent2", "rev"): "56e36ada9f5434e222b3ab8e6202f235c28c299289e09cfc5018cf4398cad82d",
+    ("quartic", "ship"): "a2c991d9a75979ffe11b52591d0da3fc633eccfc4d1106297a915e21a6e267b4",
+    ("quartic", "rev"): "ffa246390f4109ab6bccded73a2ab805e13c3d798a0217c16a169b324453209b",
+    ("sextic", "ship"): "12d5d2c99bc8b085faa38b6fa5ca19ecb136ad56e2ad20ba5b42b860552994e4",
+    ("sextic", "rev"): "557d75aedbf64f0eb8d2b1c5b838bedd75b672b7d705101d432fe6bd0eb3763a",
+    ("tan3", "ship"): "cd2f24a0f69e22c140e20179286a98e2baab0f76f95d39af1e52b0f2f7ad7356",
+    ("tan3", "rev"): "1438c1461314eceb0c1127f83a60cc55e30682c2368416db04fd10acc5656427",
+    # the reports differ (the basis order does), the solve texts do not
+    ("tan4", "ship"): "3542a63ea27e905583527d1e898112f635c3f6c94907baaa75e474079e81333b",
+    ("tan4", "rev"): "3542a63ea27e905583527d1e898112f635c3f6c94907baaa75e474079e81333b",
+}
+
 
 def specs():
     out = {}
@@ -61,10 +78,25 @@ def test_every_algebra_is_pinned():
     assert {name for name, _ in SHA256} == set(SPECS)
 
 
-@pytest.mark.parametrize("name, precedence", sorted(SHA256))
-def test_canonical_report_hash(name, precedence):
+def spec_at(name, precedence):
     spec = SPECS[name]
     if precedence == "rev":
         spec = spec.with_precedence(tuple(reversed(spec.precedence or spec.variables)))
-    text = canonical_json(build_report(analyze(spec)))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SHA256[name, precedence]
+    return spec
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name, precedence", sorted(SHA256))
+def test_canonical_report_hash(name, precedence):
+    text = canonical_json(build_report(analyze(spec_at(name, precedence))))
+    assert sha256(text) == SHA256[name, precedence]
+
+
+@pytest.mark.parametrize("name, precedence", sorted(SOLVE_TEXT_SHA256))
+def test_solve_text_hash(name, precedence):
+    analysis = analyze(spec_at(name, precedence))
+    text = render_solve_text(analysis, build_report(analysis))
+    assert sha256(text) == SOLVE_TEXT_SHA256[name, precedence]

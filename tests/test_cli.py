@@ -79,6 +79,30 @@ def test_solve_exits_two_on_residuals(capsys):
     assert "components: undetermined" in out
 
 
+TAN5O2 = "algebra tan5o2 { vars: X, Y, Z, W, V; order: 2; relations: X^2, Y^2, Z^2, W^2, V^2; }\n"
+
+
+def test_solve_warns_when_the_branch_budget_runs_out(tmp_path, capsys):
+    spec = tmp_path / "tan5o2.alg"
+    spec.write_text(TAN5O2)
+    out_json = tmp_path / "tan5o2.json"
+    assert main(["solve", str(spec), "--json", str(out_json)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "warning: branch budget 512 exhausted, 173 branches left open\n"
+    assert "warning" not in captured.out
+    assert "residuals: 173" in captured.out
+    rep = json.loads(out_json.read_bytes())
+    assert [r["reason"] for r in rep["residuals"]] == ["branch budget exhausted"] * 173
+
+
+def test_solve_warns_only_when_the_budget_runs_out(capsys):
+    assert main(["solve", spec_path("tangent2")]) == 0
+    assert capsys.readouterr().err == ""
+    # a residual at the depth limit is no budget exhaustion
+    assert main(["solve", spec_path("quartic"), "--max-branch-depth", "0"]) == 2
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_json_is_byte_identical(tmp_path, capsys):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
@@ -163,6 +187,16 @@ def test_verify_rejects_a_nonzero_symbol_that_is_not_free(tmp_path, capsys):
     assert code == 1
     assert "nonzero symbol 'B' is not listed under free: (line 7, col 1)" in captured.err
     assert "sample" not in captured.out
+
+
+def test_verify_rejects_a_sample_count_below_one(capsys):
+    bindings = spec_path("quartic").replace("quartic.alg", "quartic_family.bindings")
+    for count in ("0", "-2"):
+        code = main(["verify", spec_path("quartic"), bindings, "--samples", count])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: --samples must be at least 1, got %s\n" % count
+        assert captured.out == ""
 
 
 def test_verify_rejects_uncovered_unknowns(tmp_path, capsys):

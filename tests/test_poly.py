@@ -1,5 +1,5 @@
+import gc
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -19,6 +19,7 @@ from weilaut.scalar import QQ, ExtensionField
 from oracles import (
     sylvester_resultant_oracle,
     poly_from_roots,
+    primitive_oracle,
     umul,
     count_roots_in,
 )
@@ -287,20 +288,6 @@ def test_cached_repr_matches_a_fresh_render(precedence, extension):
         assert before == [fresh_repr(x) for x in operands]
 
 
-def primitive_reference(p):
-    """p over its rational content, signed so the leading coefficient is positive."""
-    qs = [c.rational_value() if hasattr(c, "rational_value") else Fraction(c) for c in p.terms.values()]
-    num = 0
-    den = 1
-    for q in qs:
-        num = math.gcd(num, q.numerator)
-        den = math.lcm(den, q.denominator)
-    _, lc = p.leading()
-    lead = lc.rational_value() if hasattr(lc, "rational_value") else Fraction(lc)
-    content = Fraction(num, den) if lead > 0 else -Fraction(num, den)
-    return {e: c / content for e, c in p.terms.items()}
-
-
 @pytest.mark.parametrize("extension", [False, True])
 def test_primitive_keeps_a_primitive_polynomial(extension):
     F = cbrt4_field() if extension else QQ
@@ -312,7 +299,7 @@ def test_primitive_keeps_a_primitive_polynomial(extension):
             if not p:
                 continue
             q = p.primitive()
-            ref = primitive_reference(p)
+            ref = primitive_oracle(p)
             assert q.terms == ref and list(q.terms) == list(ref)
             assert q.ring is r
             assert q.primitive() is q
@@ -329,6 +316,91 @@ def test_primitive_keeps_a_primitive_polynomial(extension):
         assert p.primitive() == p.monic()
         monic = r.var("A") + r.var("B") * F.gen()
         assert monic.primitive() is monic
+
+
+def vars_by_definition(p):
+    return {v for e in p.terms for v, k in zip(p.ring.vars, e) if k}
+
+
+def linear_leads_by_definition(p):
+    """(var, exps, coeff) for each var, in ring order, that occurs in exactly
+    one term and there to the first power."""
+    out = []
+    for i, v in enumerate(p.ring.vars):
+        hits = [(e, c) for e, c in p.terms.items() if e[i]]
+        if len(hits) == 1 and hits[0][0][i] == 1:
+            e, c = hits[0]
+            out.append((v, tuple(0 if j == i else k for j, k in enumerate(e)), c))
+    return tuple(out)
+
+
+def cache_samples(rng, ring):
+    A, B, C = (ring.var(v) for v in ring.vars)
+    fixed = [ring.zero(), ring.const(5), A, A * B * 3 - C**2, A * B + A * C + B * C, A**2 * B + C]
+    return fixed + [rand_poly(rng, ring, 2, 4) for _ in range(30)]
+
+
+@pytest.mark.parametrize("precedence", [None, ("C", "A", "B")])
+def test_vars_used_and_linear_leads_match_the_definitions(precedence):
+    r = PolyRing(("A", "B", "C"), QQ, precedence)
+    for p in cache_samples(random.Random(47), r):
+        used = p.vars_used()
+        assert isinstance(used, frozenset)
+        assert used == vars_by_definition(p)
+        assert p.vars_used() is used
+        leads = p.linear_leads()
+        assert leads == linear_leads_by_definition(p)
+        assert p.linear_leads() is leads
+    A, B, C = (r.var(v) for v in "ABC")
+    # C has coefficient 2*A + B (two terms), A has degree 2: only B leads
+    assert (2 * A * C + B * C + A**2).linear_leads() == (("B", (0, 0, 1), 1),)
+    assert (A * B * 3 - C**2).linear_leads() == (("A", (0, 1, 0), 3), ("B", (1, 0, 0), 3))
+
+
+def test_substitute_keeps_the_cached_facts_of_untouched_operands():
+    r = PolyRing(("A", "B", "C"), QQ)
+    A, B, C = (r.var(v) for v in "ABC")
+    p = A * B - 2 * A + B
+    used = p.vars_used()
+    assert p.substitute({"C": A + 1}) is p
+    assert p.substitute({"C": A + 1}).vars_used() is used
+    q = p.substitute({"C": A, "B": C - 1})
+    assert q.vars_used() == {"A", "C"}
+    assert q == A * C - 3 * A + C - 1
+
+
+@pytest.mark.parametrize("precedence", [None, ("C", "A", "B")])
+def test_primitive_is_computed_once_and_holds_no_cycle(precedence):
+    r = PolyRing(("A", "B", "C"), QQ, precedence)
+    for p in cache_samples(random.Random(53), r):
+        if not p:
+            assert p.primitive() is p
+            continue
+        q = p.primitive()
+        assert q.terms == primitive_oracle(p)
+        assert p.primitive() is q
+        assert q.primitive() is q
+        assert (q * 3).primitive() == q
+        for x in (p, q):
+            assert all(y is not x for y in gc.get_referents(x))
+    A, B = r.var("A"), r.var("B")
+    already = A * B - 2 * B
+    assert already.primitive() is already
+    assert all(y is not already for y in gc.get_referents(already))
+
+
+def test_primitive_of_a_monic_fallback_with_rational_coefficients():
+    # c*A + (c/2)*B with c irrational falls back to monic: A + 1/2*B, whose
+    # own primitive form is 2*A + B, so the monic result is not marked
+    # primitive
+    F = cbrt4_field()
+    r = PolyRing(("A", "B"), F)
+    c = F.gen()
+    p = r.var("A") * c + r.var("B") * (c * Fraction(1, 2))
+    m = p.primitive()
+    assert m == r.var("A") + r.var("B") * Fraction(1, 2)
+    assert m.primitive() == r.var("A") * 2 + r.var("B")
+    assert m.primitive().primitive() is m.primitive()
 
 
 def test_resultant_printed_cases():

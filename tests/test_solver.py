@@ -22,6 +22,7 @@ from weilaut.solver import (
     Residual,
     SolutionFamily,
     _normalized_equations,
+    _rule_linear_bind,
     classify_det1,
     close_branch,
     component_count,
@@ -91,6 +92,21 @@ def test_linear_bind_prefers_latest_unknown():
     assert {k: repr(v) for k, v in fam.bindings.items()} == {"W": "U + V"}
     assert fam.free == ("U", "V")
     assert fam.nonzero == ()
+
+
+def test_linear_bind_falls_through_an_inexact_division():
+    # under A != 0 both candidates have the guarded coefficient A; the top
+    # ranked one, C (the later unknown), would need B^2 / A, which is not a
+    # polynomial, so the next one binds B = -A
+    ring = PolyRing(("A", "B", "C"), QQ)
+    A, B, C = (ring.var(n) for n in "ABC")
+    br = Branch(ring, [A * C + B**2, A * B + A**2], A, {}, [A], (), 0)
+    out = _rule_linear_bind(br, br.guard_vars())
+    assert out.path == ("B = -A",)
+    assert {k: repr(v) for k, v in out.bindings.items()} == {"B": "-A"}
+    assert [repr(p) for p in out.equations] == ["A^2 + A*C", "0"]
+    # without the guard no coefficient is invertible
+    assert _rule_linear_bind(br, frozenset()) is None
 
 
 def test_pure_power_pair_with_rational_root():
