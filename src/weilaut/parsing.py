@@ -196,16 +196,12 @@ class _PolyParser:
 
 
 def parse_polynomial(text, ring):
-    stream = _TokenStream(_tokenize(text))
-    p = _PolyParser(stream, ring).parse_expr()
-    t = stream.peek()
-    if t[0] != "EOF":
-        raise ParseError("trailing input %r" % (t[1],), t[2], t[3])
-    return p
+    return _parse_poly_tokens(_tokenize(text), ring)
 
 
 def _parse_poly_tokens(tokens, ring):
-    stream = _TokenStream(tokens + [("EOF", "", 0, 0)])
+    """The polynomial spelled by tokens, which end with an EOF token."""
+    stream = _TokenStream(tokens)
     p = _PolyParser(stream, ring).parse_expr()
     t = stream.peek()
     if t[0] != "EOF":
@@ -213,19 +209,24 @@ def _parse_poly_tokens(tokens, ring):
     return p
 
 
-def _split_top_commas(tokens):
-    groups = [[]]
+def _split_top_commas(tokens, end):
+    """The nonempty groups of tokens between top-level commas, each closed by
+    an EOF token at the position of the ',' or of end that follows it."""
+    groups = []
+    group = []
     depth = 0
-    for t in tokens:
+    for t in tokens + [end]:
         if t[0] == "(":
             depth += 1
         elif t[0] == ")":
             depth -= 1
-        if t[0] == "," and depth == 0:
-            groups.append([])
+        if t is end or (t[0] == "," and depth == 0):
+            if group:
+                groups.append(group + [("EOF", "", t[2], t[3])])
+            group = []
         else:
-            groups[-1].append(t)
-    return [g for g in groups if g]
+            group.append(t)
+    return groups
 
 
 def parse_specfile(text):
@@ -247,10 +248,10 @@ def parse_specfile(text):
                     t = s.peek()
                     raise ParseError("missing ';' after %r entry" % key, t[2], t[3])
                 toks.append(s.next())
-            s.expect(";")
+            end = s.expect(";")
             if key in entries:
                 raise ParseError("duplicate %r entry" % key, key_tok[2], key_tok[3])
-            entries[key] = (toks, key_tok)
+            entries[key] = (toks, key_tok, end)
         s.expect("}")
         specs.append(_build_spec(name, entries))
     if not specs:
@@ -258,7 +259,8 @@ def parse_specfile(text):
     return specs
 
 
-def _names_list(tokens, what):
+def _names_list(tokens, what, sep=","):
+    """The names of a list like X, Y (or Y > X with sep '>')."""
     names = []
     expect_name = True
     for t in tokens:
@@ -268,18 +270,18 @@ def _names_list(tokens, what):
             names.append(t[1])
             expect_name = False
         else:
-            if t[0] != ",":
-                raise ParseError("expected ',' in %s" % what, t[2], t[3])
+            if t[0] != sep:
+                raise ParseError("expected %r in %s" % (sep, what), t[2], t[3])
             expect_name = True
-    if expect_name and names:
-        raise ParseError("trailing ',' in %s" % what)
+    if expect_name and tokens:
+        t = tokens[-1]
+        raise ParseError("trailing %r in %s" % (sep, what), t[2], t[3])
     return names
 
 
 def _build_spec(name, entries):
-    for key in entries:
+    for key, (_, kt, _) in entries.items():
         if key not in ("vars", "order", "relations", "precedence"):
-            toks, kt = entries[key]
             raise ParseError("unknown entry %r" % key, kt[2], kt[3])
     for key in ("vars", "order", "relations"):
         if key not in entries:
@@ -294,26 +296,13 @@ def _build_spec(name, entries):
     order = int(otoks[0][1])
     precedence = None
     if "precedence" in entries:
-        ptoks = entries["precedence"][0]
-        precedence = []
-        expect_name = True
-        for t in ptoks:
-            if expect_name:
-                if t[0] != "NAME":
-                    raise ParseError("expected a variable in precedence", t[2], t[3])
-                precedence.append(t[1])
-                expect_name = False
-            else:
-                if t[0] != ">":
-                    raise ParseError("expected '>' in precedence", t[2], t[3])
-                expect_name = True
+        precedence = _names_list(entries["precedence"][0], "precedence", ">")
         if sorted(precedence) != sorted(variables):
             t = entries["precedence"][1]
             raise ParseError("precedence must list every variable exactly once", t[2], t[3])
     ring = PolyRing(tuple(variables), QQ, tuple(precedence) if precedence else None)
-    relations = []
-    for group in _split_top_commas(entries["relations"][0]):
-        relations.append(_parse_poly_tokens(group, ring))
+    toks, _, end = entries["relations"]
+    relations = [_parse_poly_tokens(group, ring) for group in _split_top_commas(toks, end)]
     try:
         return AlgebraSpec(name, variables, order, relations, precedence)
     except ValueError as exc:

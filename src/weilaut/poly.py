@@ -10,10 +10,11 @@ A polynomial is immutable once built: every operation returns a new one (or
 the operand itself when nothing changes), and no code writes its terms dict
 after construction. Every cache on a polynomial relies on this: its
 rendering (__repr__), its variable set (vars_used), its primitive form
-(primitive) and its linear leads (linear_leads) are each computed once, on
-first use, and stay valid for the polynomial's lifetime. Because substitute
-returns the operand itself when a binding does not touch it, the facts
-survive a solver step for every equation the step leaves alone.
+(primitive) and its linear leads (linear_leads: the variables that occur
+only in one term c*var, c a constant) are each computed once, on first use,
+and stay valid for the polynomial's lifetime. Because substitute returns the
+operand itself when a binding does not touch it, the facts survive a solver
+step for every equation the step leaves alone.
 """
 
 from fractions import Fraction
@@ -183,19 +184,16 @@ class Polynomial:
         return self._vars
 
     def linear_leads(self):
-        """(var, exps, coeff) for each variable of degree exactly 1 whose
-        coefficient is a single term, in ring order: self is
-        var * coeff * monomial(exps) plus terms free of var.
-        """
+        """(var, coeff) for each variable, in ring order, whose only term is
+        coeff * var: self is coeff * var plus terms free of var."""
         if self._leads is None:
             index = self.ring.index
             leads = []
             for v in sorted(self.vars_used(), key=index.get):
                 i = index[v]
                 hits = [e for e in self.terms if e[i]]
-                if len(hits) == 1 and hits[0][i] == 1:
-                    e = hits[0]
-                    leads.append((v, e[:i] + (0,) + e[i + 1 :], self.terms[e]))
+                if len(hits) == 1 and sum(hits[0]) == 1:
+                    leads.append((v, self.terms[hits[0]]))
             self._leads = tuple(leads)
         return self._leads
 
@@ -521,17 +519,10 @@ class Polynomial:
         key = self.ring.order.key
         parts = []
         for exps in sorted(self.terms, key=key, reverse=True):
-            c = self.terms[exps]
-            cs, neg = _coeff_str(c)
+            cs, neg = _coeff_str(self.terms[exps])
             mono = self.ring.monomial_str(exps)
-            if mono == "1":
-                if isinstance(c, FieldElement) and not c.is_rational_value():
-                    body = "(%r)" % (c,)
-                else:
-                    q = c.rational_value() if isinstance(c, FieldElement) else Fraction(c)
-                    body = str(abs(q))
-            else:
-                body = cs + mono
+            # a constant term is its coefficient's text without the '*'
+            body = (cs[:-1] or "1") if mono == "1" else cs + mono
             if not parts:
                 parts.append(("-" if neg else "") + body)
             else:

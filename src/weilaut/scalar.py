@@ -2,8 +2,9 @@
 
 An ExtensionField is Q[c]/(p(c)) for a monic p with one isolated real root;
 elements are coefficient tuples reduced mod p. Degree 1 (p = x, root 0) is
-plain Q and its coerce() hands back bare Fraction so rational-only pipelines
-never pay for the wrapper. No floating point anywhere.
+plain Q: its coerce() and element() hand back bare Fraction, so no
+FieldElement of degree 1 is ever built and rational-only pipelines never pay
+for the wrapper. No floating point anywhere.
 """
 
 from fractions import Fraction
@@ -108,7 +109,7 @@ class ExtensionField:
         if isinstance(x, FieldElement):
             if x.field.minpoly != self.minpoly:
                 raise FieldError("element of a different field")
-            return x if self.degree > 1 else x.coeffs[0]
+            return x
         q = Fraction(x)
         if self.degree == 1:
             return q
@@ -259,8 +260,6 @@ class FieldElement:
         if n < 0:
             return self.inverse() ** (-n)
         out = self.field.one()
-        if isinstance(out, Fraction):  # degree-1 field
-            return self.coeffs[0] ** n
         base = self
         while n:
             if n & 1:
@@ -297,9 +296,6 @@ def sign_of(a):
     if not a:
         return 0
     field = a.field
-    if field.degree == 1:
-        q = a.coeffs[0]
-        return (q > 0) - (q < 0)
     lo, hi = field.lo, field.hi
     mp = list(field.minpoly)
     slo = eval_rational(mp, lo)
@@ -364,8 +360,7 @@ def kth_root_in_field(field, d, k):
     """
     d = field.coerce(d)
     if field.degree == 1:
-        r = rational_kth_root(d, k)
-        return None if r is None else r
+        return rational_kth_root(d, k)
     mp = field.minpoly
     m = field.degree
     if any(mp[i] for i in range(1, m)):

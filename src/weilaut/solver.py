@@ -54,17 +54,25 @@ class Branch:
         self.splits = splits
 
     def guard_vars(self):
-        out = set()
-        for g in self.guards:
-            vs = g.vars_used()
-            if len(g.terms) == 1 and len(vs) == 1:
-                out.update(vs)
-        return out
+        return _split_guards(self.guards)[0]
 
     def copy(self):
         return Branch(
             self.ring, self.equations, self.nondeg, self.bindings, self.guards, self.path, self.splits
         )
+
+
+def _split_guards(guards):
+    """The variables guarded on their own (a guard that is a monomial in one
+    variable), and the other guards."""
+    names, rest = set(), []
+    for g in guards:
+        vs = g.vars_used()
+        if len(g.terms) == 1 and len(vs) == 1:
+            names |= vs
+        else:
+            rest.append(g)
+    return names, rest
 
 
 class SolutionFamily:
@@ -236,27 +244,23 @@ def _is_prime(k):
     return True
 
 
-def _rule_single_term(br, guard_vars):
+def _rule_single_term(br):
+    """Bind u = 0 for an equation u^k = 0. Normalization has stripped every
+    guarded factor, so such a u is unguarded."""
     for p in br.equations:
-        if len(p.terms) != 1:
-            continue
-        vs = sorted(p.vars_used(), key=br.ring.index.get)
-        unguarded = [v for v in vs if v not in guard_vars]
-        if not unguarded:
-            raise ContradictionSignal(
-                INCONSISTENT, "%r = 0 although every factor is nonzero" % p
-            )
-        if len(vs) == 1:
-            u = vs[0]
+        if len(p.terms) == 1 and len(p.vars_used()) == 1:
+            u, = p.vars_used()
             return _bind(br, u, br.ring.zero(), "%s = 0" % u)
     return None
 
 
 def _pure_power_pair(p):
-    """Match a*u^k + b*v^k with distinct single variables, odd k >= 3."""
+    """Match a*u^k + b*v^k with distinct single variables, odd k >= 3, u
+    before v in ring order; returns (index of u, a, index of v, b, k)."""
     if len(p.terms) != 2:
         return None
-    (e1, c1), (e2, c2) = sorted(p.terms.items())
+    # ascending exponent tuples put the later variable's term first
+    (e2, c2), (e1, c1) = sorted(p.terms.items())
     nz1 = [i for i, e in enumerate(e1) if e]
     nz2 = [i for i, e in enumerate(e2) if e]
     if len(nz1) != 1 or len(nz2) != 1 or nz1 == nz2:
@@ -275,8 +279,6 @@ def _rule_power_bind(br):
         if m is None:
             continue
         i, a, j, b, k = m
-        if i > j:
-            i, a, j, b = j, b, i, a
         earlier, later = br.ring.vars[i], br.ring.vars[j]
         # later^k = d * earlier^k
         d = field_div(-a, b)
@@ -312,50 +314,36 @@ def _rule_power_bind(br):
     return None
 
 
-def _rule_linear_bind(br, guard_vars):
-    """Bind an unknown of degree 1 whose coefficient is invertible, when the
-    rest of its equation divides exactly by that coefficient.
+def _rule_linear_bind(br):
+    """Bind the latest unknown u that an equation holds only as c*u, with c a
+    constant, by the first such equation.
 
-    Candidates rank constant coefficients first, then the latest unknown,
-    then the first equation; the best one whose division is exact wins.
+    A guarded monomial coefficient of u would divide the rest of the equation
+    only if it divided the whole equation, and normalization has stripped
+    every such factor, so only constant coefficients can bind.
     """
-    ring = br.ring
-    candidates = []
-    for pos, p in enumerate(br.equations):
-        leads = p.linear_leads()
-        if not leads:
-            continue
-        unguarded = [ring.index[v] for v in p.vars_used() if v not in guard_vars]
-        for u, exps, c in leads:
-            if any(exps[i] for i in unguarded):
-                continue
-            candidates.append((any(exps), -ring.index[u], pos, u, exps, c))
-    candidates.sort(key=itemgetter(0, 1, 2))
-    for _, _, pos, u, exps, c in candidates:
-        i = ring.index[u]
-        # the terms of p without u, negated, over the coefficient of u
-        rest = Polynomial(ring, {e: -v for e, v in br.equations[pos].terms.items() if not e[i]})
-        try:
-            value = rest.exact_div(Polynomial(ring, {exps: c}))
-        except PolyError:
-            continue
-        return _bind(br, u, value, "%s = %r" % (u, value))
-    return None
+    index = br.ring.index
+    leads = [(u, c, p) for p in br.equations for u, c in p.linear_leads()]
+    if not leads:
+        return None
+    # max keeps the first of equal keys, so the first equation wins a tie
+    u, c, p = max(leads, key=lambda lead: index[lead[0]])
+    i = index[u]
+    inv = field_div(-1, c)
+    # the terms of p without u, negated, over c
+    value = Polynomial(br.ring, {e: v * inv for e, v in p.terms.items() if not e[i]})
+    return _bind(br, u, value, "%s = %r" % (u, value))
 
 
 def _simplify(br):
     while True:
-        guard_vars = br.guard_vars()
-        br.equations = _normalized_equations(br.equations, guard_vars)
+        # the rules rely on equations normalized under the branch's guards
+        br.equations = _normalized_equations(br.equations, br.guard_vars())
         if br.nondeg.is_zero():
             raise ContradictionSignal(
                 NONDEG_VANISHED, "the invertibility determinant vanished identically"
             )
-        nxt = (
-            _rule_single_term(br, guard_vars)
-            or _rule_power_bind(br)
-            or _rule_linear_bind(br, guard_vars)
-        )
+        nxt = _rule_single_term(br) or _rule_power_bind(br) or _rule_linear_bind(br)
         if nxt is None:
             return br
         br = nxt
@@ -613,7 +601,6 @@ def make_family(br):
     nd = br.nondeg
     if nd.is_zero():
         raise ContradictionSignal(NONDEG_VANISHED, "family without invertible members")
-    nonzero = set()
     conditions = []
     seen = set()
     pool = list(br.guards)
@@ -621,13 +608,7 @@ def make_family(br):
         pool.append(nd)
     for g in pool:
         _push_guard(g, conditions, seen)
-    kept = []
-    for g in conditions:
-        vs = g.vars_used()
-        if len(g.terms) == 1 and len(vs) == 1:
-            nonzero.update(vs)
-        else:
-            kept.append(g)
+    nonzero, kept = _split_guards(conditions)
     free = [v for v in br.ring.vars if v not in br.bindings]
     return SolutionFamily(
         br.path,

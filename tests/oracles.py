@@ -7,6 +7,10 @@ same bug in its check. The one exception is numeric_product_check, which
 reduces polynomials with the package's normal_form (itself checked against
 the dense oracle and by criterion 5) but builds every image and product
 from polynomial products, not from structure constants.
+
+linear_bind_candidates and trial_division_linear_bind keep the solver's
+earlier linear bind, which tried every guarded-monomial coefficient by exact
+division, as a reference for the constant-lead bind that replaced it.
 """
 
 from fractions import Fraction
@@ -89,6 +93,47 @@ def primitive_oracle(p):
     lq = lc.rational_value() if hasattr(lc, "rational_value") else Fraction(lc)
     content = Fraction(num, den) if lq > 0 else -Fraction(num, den)
     return {e: c / content for e, c in p.terms.items()}
+
+
+def linear_bind_candidates(equations, guard_vars):
+    """(u, position, m, c) for each unknown u that an equation holds in one
+    term only, as c*m*u with m an exponent tuple in guarded variables.
+
+    Ranked as the earlier bind ranked them: constant coefficients (m = 0)
+    first, then the latest unknown, then the first equation.
+    """
+    ranked = []
+    for pos, p in enumerate(equations):
+        names = p.ring.vars
+        for i, u in enumerate(names):
+            hits = [(e, c) for e, c in p.terms.items() if e[i]]
+            if len(hits) != 1 or hits[0][0][i] != 1:
+                continue
+            e, c = hits[0]
+            m = tuple(0 if j == i else k for j, k in enumerate(e))
+            if all(names[j] in guard_vars for j, k in enumerate(m) if k):
+                ranked.append(((any(m), -i, pos), (u, pos, m, c)))
+    ranked.sort(key=lambda t: t[0])
+    return [cand for _, cand in ranked]
+
+
+def trial_division_linear_bind(equations, guard_vars):
+    """(u, terms of its value) for the first candidate whose equation's other
+    terms, negated, divide exactly by c*m; None when no division is exact."""
+    for u, pos, m, c in linear_bind_candidates(equations, guard_vars):
+        p = equations[pos]
+        i = p.ring.index[u]
+        value = {}
+        for e, v in p.terms.items():
+            if e[i]:
+                continue
+            q = tuple(a - b for a, b in zip(e, m))
+            if min(q) < 0:
+                break
+            value[q] = -v / c
+        else:
+            return u, value
+    return None
 
 
 def poly_from_roots(roots):

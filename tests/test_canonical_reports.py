@@ -1,7 +1,8 @@
 """Byte-identical canonical reports: the sha256 of the canonical JSON of every
 shipped algebra and every bench/corpus.alg probe, at the declared precedence
 ("ship") and at the reversed one ("rev"), and of the solve text of the
-algebras the solver splits most. The solve text lists every contradiction
+algebras the solver splits most and of the corpus probes whose
+contradictions show only there. The solve text lists every contradiction
 with its path and reason, which the JSON does not, so it pins the order in
 which the solver visits and kills branches.
 
@@ -57,6 +58,12 @@ SOLVE_TEXT_SHA256 = {
     # the reports differ (the basis order does), the solve texts do not
     ("tan4", "ship"): "3542a63ea27e905583527d1e898112f635c3f6c94907baaa75e474079e81333b",
     ("tan4", "rev"): "3542a63ea27e905583527d1e898112f635c3f6c94907baaa75e474079e81333b",
+    ("cusp", "ship"): "d9bc554778e20dad082becc06ff84cb7972938a1cb817ee476da3c5a91006d93",
+    ("cusp", "rev"): "54e094581ee2df375fa0d0b3491c921818449aeea9ebf27db7282c7be4613108",
+    ("e6", "ship"): "563a0e2040fdd4e7620adcff755aa05ae255e7429cc2a926ab16399bc62e98a1",
+    ("e6", "rev"): "c698138a3869df7fc4f2fdcfcc1968408b725a782915d1c6b886d3a50cc350d3",
+    ("tangent2_xy", "ship"): "fbf8b85bfb16aef6ca58acbf052c4db4069240f7e7a114cfb063dd3f2bdb8c50",
+    ("tangent2_xy", "rev"): "1130a9677c3c1bf59c9f361cc660aed96b889c9db6beca7eeb304fdb778ac47c",
 }
 
 

@@ -121,3 +121,34 @@ def test_parse_bindings_rejects_a_nonzero_symbol_that_is_not_free():
     # free: may come after nonzero:
     out = parse_bindings("nonzero: A\nB = 0\nfree: A, C", ring)
     assert out["nonzero"] == ["A"] and out["free"] == ["A", "C"]
+
+
+def test_an_incomplete_relation_points_at_the_token_that_ends_it():
+    text = "algebra t { vars: X, Y; order: 2;\n  relations: X^2, Y^; }"
+    with pytest.raises(ParseError, match="expected 'INT'") as err:
+        parse_specfile(text)
+    assert (err.value.line, err.value.col) == (2, text.split("\n")[1].index(";") + 1)
+    text = "algebra t { vars: X, Y; order: 2; relations: X^, Y^2; }"
+    with pytest.raises(ParseError, match="expected 'INT'") as err:
+        parse_specfile(text)
+    assert (err.value.line, err.value.col) == (1, text.index("^,") + 2)
+    with pytest.raises(ParseError, match="expected 'INT'") as err:
+        parse_polynomial("X^", PolyRing(("X",), QQ))
+    assert (err.value.line, err.value.col) == (1, 3)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("algebra t { vars: X, Y,; order: 2; relations: X^2, Y^2; }", "trailing ',' in vars"),
+        (
+            "algebra t { vars: X, Y; order: 2; relations: X^2, Y^2; precedence: Y > X >; }",
+            "trailing '>' in precedence",
+        ),
+    ],
+    ids=["vars", "precedence"],
+)
+def test_a_trailing_separator_is_rejected_in_every_name_list(text, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_specfile(text)
+    assert err.value.col == text.index(",;" if "," in message else ">;") + 1

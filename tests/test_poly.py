@@ -323,14 +323,14 @@ def vars_by_definition(p):
 
 
 def linear_leads_by_definition(p):
-    """(var, exps, coeff) for each var, in ring order, that occurs in exactly
-    one term and there to the first power."""
+    """(var, coeff) for each var, in ring order, that occurs in exactly one
+    term, and that term is coeff * var."""
     out = []
     for i, v in enumerate(p.ring.vars):
         hits = [(e, c) for e, c in p.terms.items() if e[i]]
-        if len(hits) == 1 and hits[0][0][i] == 1:
-            e, c = hits[0]
-            out.append((v, tuple(0 if j == i else k for j, k in enumerate(e)), c))
+        unit = tuple(int(j == i) for j in range(len(p.ring.vars)))
+        if len(hits) == 1 and hits[0][0] == unit:
+            out.append((v, hits[0][1]))
     return tuple(out)
 
 
@@ -352,9 +352,10 @@ def test_vars_used_and_linear_leads_match_the_definitions(precedence):
         assert leads == linear_leads_by_definition(p)
         assert p.linear_leads() is leads
     A, B, C = (r.var(v) for v in "ABC")
-    # C has coefficient 2*A + B (two terms), A has degree 2: only B leads
-    assert (2 * A * C + B * C + A**2).linear_leads() == (("B", (0, 0, 1), 1),)
-    assert (A * B * 3 - C**2).linear_leads() == (("A", (0, 1, 0), 3), ("B", (1, 0, 0), 3))
+    # C has the monomial coefficient 2*A, A has degree 2: only B leads
+    assert (2 * A * C + 3 * B + A**2).linear_leads() == (("B", 3),)
+    assert (A * B * 3 - C**2).linear_leads() == ()
+    assert (A - 2 * C + B**2).linear_leads() == (("A", 1), ("C", -2))
 
 
 def test_substitute_keeps_the_cached_facts_of_untouched_operands():

@@ -23,12 +23,14 @@ from weilaut.solver import (
     SolutionFamily,
     _normalized_equations,
     _rule_linear_bind,
+    _simplify,
     classify_det1,
     close_branch,
     component_count,
     solve,
 )
 from weilaut.specdata import spec_path
+from oracles import linear_bind_candidates, trial_division_linear_bind
 
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus.alg")
@@ -94,19 +96,71 @@ def test_linear_bind_prefers_latest_unknown():
     assert fam.nonzero == ()
 
 
-def test_linear_bind_falls_through_an_inexact_division():
-    # under A != 0 both candidates have the guarded coefficient A; the top
-    # ranked one, C (the later unknown), would need B^2 / A, which is not a
-    # polynomial, so the next one binds B = -A
+def test_linear_bind_takes_the_constant_lead_left_by_normalization():
+    # under A != 0, A*B + A^2 normalizes to A + B, whose constant lead binds
+    # B = -A; C keeps the monomial coefficient A in A*C + B^2, so C binds only
+    # once that equation has become A*C + A^2 and normalizes to A + C
     ring = PolyRing(("A", "B", "C"), QQ)
     A, B, C = (ring.var(n) for n in "ABC")
-    br = Branch(ring, [A * C + B**2, A * B + A**2], A, {}, [A], (), 0)
-    out = _rule_linear_bind(br, br.guard_vars())
-    assert out.path == ("B = -A",)
-    assert {k: repr(v) for k, v in out.bindings.items()} == {"B": "-A"}
-    assert [repr(p) for p in out.equations] == ["A^2 + A*C", "0"]
-    # without the guard no coefficient is invertible
-    assert _rule_linear_bind(br, frozenset()) is None
+    equations = [A * C + B**2, A * B + A**2]
+    out = _simplify(Branch(ring, equations, A, {}, [A], (), 0))
+    assert out.path == ("B = -A", "C = -A")
+    assert {k: repr(v) for k, v in out.bindings.items()} == {"B": "-A", "C": "-A"}
+    assert out.equations == []
+    # without the guard no unknown has a constant coefficient
+    assert _rule_linear_bind(Branch(ring, equations, A, {}, [], (), 0)) is None
+
+
+def random_bind_equation(rng, ring, guarded):
+    """A few random terms plus c*m*u, m a random monomial in the guarded
+    variables, sometimes times a guarded variable."""
+    p = ring.zero()
+    for _ in range(rng.randrange(1, 4)):
+        exps = tuple(rng.randrange(0, 3) for _ in ring.vars)
+        p = p + ring.monomial(exps, rng.choice((-3, -1, 1, 2, Fraction(1, 2))))
+    m = ring.var(rng.choice(ring.vars)) * rng.choice((-2, 1, 3))
+    for g in guarded:
+        if rng.random() < 0.4:
+            m = m * g
+    p = p + m
+    if guarded and rng.random() < 0.3:
+        p = p * rng.choice(guarded)
+    return p
+
+
+def test_linear_bind_matches_the_trial_division_reference():
+    # on normalized equations, binding by a constant lead picks what trying
+    # every guarded-monomial coefficient by exact division picked
+    rng = random.Random(61)
+    ring = PolyRing(("A", "B", "C", "D"), QQ)
+    bound = unbound = monomial_candidates = 0
+    for _ in range(400):
+        guarded = [ring.var(v) for v in ring.vars if rng.random() < 0.4]
+        guards = guarded + ([ring.var("A") + ring.var("B")] if rng.random() < 0.2 else [])
+        br = Branch(ring, [], ring.one(), {}, guards, (), 0)
+        equations = [random_bind_equation(rng, ring, guarded) for _ in range(rng.randrange(1, 4))]
+        try:
+            br.equations = _normalized_equations(equations, br.guard_vars())
+        except ContradictionSignal:
+            continue
+        monomial_candidates += sum(
+            1 for _, _, m, _ in linear_bind_candidates(br.equations, br.guard_vars()) if any(m)
+        )
+        ref = trial_division_linear_bind(br.equations, br.guard_vars())
+        out = _rule_linear_bind(br)
+        if ref is None:
+            assert out is None
+            unbound += 1
+            continue
+        u, value = ref[0], ring.poly(ref[1])
+        assert out.path == ("%s = %r" % (u, value),)
+        assert {k: repr(v) for k, v in out.bindings.items()} == {u: repr(value)}
+        want = [p.substitute({u: value}) for p in br.equations]
+        assert [list(p.terms.items()) for p in out.equations] == [
+            list(p.terms.items()) for p in want
+        ]
+        bound += 1
+    assert bound > 100 and unbound > 20 and monomial_candidates > 50
 
 
 def test_pure_power_pair_with_rational_root():
