@@ -72,20 +72,6 @@ def check_block_triangular(rows, blocks):
                 )
 
 
-def filtered_determinant(rows, blocks, exact_div):
-    """Determinant of a matrix that is block upper-triangular along blocks.
-
-    The matrix must pass check_block_triangular; the determinant is then the
-    product of the diagonal blocks' determinants.
-    """
-    check_block_triangular(rows, blocks)
-    det = None
-    for block in blocks:
-        d = bareiss_determinant([[rows[i][j] for j in block] for i in block], exact_div)
-        det = d if det is None else det * d
-    return det
-
-
 def rref(rows):
     """Reduced row echelon form over a field. Returns (new rows, pivot cols)."""
     if not rows:

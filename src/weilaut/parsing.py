@@ -9,7 +9,9 @@ Spec files hold one or more blocks:
 Polynomials use ^ for powers; * is optional between factors, and a bare name
 like XY is split greedily against the declared variables. Bindings files are
 line oriented: "SYMBOL = polynomial", plus "free:" and "nonzero:" name lists.
-A # starts a comment.
+A # starts a comment. Both formats share one tokenizer, which gives every
+error its line and column, and one list reader (_split_list): an empty
+item or a trailing separator is an error, and an empty list is allowed.
 """
 
 from fractions import Fraction
@@ -209,24 +211,49 @@ def _parse_poly_tokens(tokens, ring):
     return p
 
 
-def _split_top_commas(tokens, end):
-    """The nonempty groups of tokens between top-level commas, each closed by
-    an EOF token at the position of the ',' or of end that follows it."""
-    groups = []
-    group = []
+def _split_list(tokens, end, what, sep=","):
+    """The items of a list like X^2, Y^2 (or Y > X with sep '>').
+
+    Each item is the group of tokens between two top-level separators,
+    closed by an EOF token at the position of the separator or of end that
+    follows it. No tokens make the empty list; an empty item is an error at
+    the separator that closes it, a trailing separator an error at itself.
+    """
+    if not tokens:
+        return []
+    items = []
+    item = []
     depth = 0
     for t in tokens + [end]:
         if t[0] == "(":
             depth += 1
         elif t[0] == ")":
             depth -= 1
-        if t is end or (t[0] == "," and depth == 0):
-            if group:
-                groups.append(group + [("EOF", "", t[2], t[3])])
-            group = []
+        if t is end or (t[0] == sep and depth == 0):
+            if not item:
+                if t is end:
+                    t = tokens[-1]
+                    raise ParseError("trailing %r in %s" % (sep, what), t[2], t[3])
+                raise ParseError("empty item in %s" % what, t[2], t[3])
+            items.append(item + [("EOF", "", t[2], t[3])])
+            item = []
         else:
-            group.append(t)
-    return groups
+            item.append(t)
+    return items
+
+
+def _name_tokens(tokens, end, what, sep=","):
+    """The NAME tokens of a list of names like X, Y (or Y > X with sep '>')."""
+    names = []
+    for item in _split_list(tokens, end, what, sep):
+        t = item[0]
+        if t[0] != "NAME":
+            raise ParseError("expected a name in %s" % what, t[2], t[3])
+        names.append(t)
+        t = item[1]
+        if t[0] != "EOF":
+            raise ParseError("expected %r in %s" % (sep, what), t[2], t[3])
+    return names
 
 
 def parse_specfile(text):
@@ -259,26 +286,6 @@ def parse_specfile(text):
     return specs
 
 
-def _names_list(tokens, what, sep=","):
-    """The names of a list like X, Y (or Y > X with sep '>')."""
-    names = []
-    expect_name = True
-    for t in tokens:
-        if expect_name:
-            if t[0] != "NAME":
-                raise ParseError("expected a name in %s" % what, t[2], t[3])
-            names.append(t[1])
-            expect_name = False
-        else:
-            if t[0] != sep:
-                raise ParseError("expected %r in %s" % (sep, what), t[2], t[3])
-            expect_name = True
-    if expect_name and tokens:
-        t = tokens[-1]
-        raise ParseError("trailing %r in %s" % (sep, what), t[2], t[3])
-    return names
-
-
 def _build_spec(name, entries):
     for key, (_, kt, _) in entries.items():
         if key not in ("vars", "order", "relations", "precedence"):
@@ -286,7 +293,8 @@ def _build_spec(name, entries):
     for key in ("vars", "order", "relations"):
         if key not in entries:
             raise ParseError("algebra %r is missing the %r entry" % (name, key))
-    variables = _names_list(entries["vars"][0], "vars")
+    toks, _, end = entries["vars"]
+    variables = [t[1] for t in _name_tokens(toks, end, "vars")]
     if not variables:
         raise ParseError("empty vars list in algebra %r" % name)
     otoks = entries["order"][0]
@@ -296,13 +304,14 @@ def _build_spec(name, entries):
     order = int(otoks[0][1])
     precedence = None
     if "precedence" in entries:
-        precedence = _names_list(entries["precedence"][0], "precedence", ">")
+        toks, _, end = entries["precedence"]
+        precedence = [t[1] for t in _name_tokens(toks, end, "precedence", ">")]
         if sorted(precedence) != sorted(variables):
             t = entries["precedence"][1]
             raise ParseError("precedence must list every variable exactly once", t[2], t[3])
     ring = PolyRing(tuple(variables), QQ, tuple(precedence) if precedence else None)
     toks, _, end = entries["relations"]
-    relations = [_parse_poly_tokens(group, ring) for group in _split_top_commas(toks, end)]
+    relations = [_parse_poly_tokens(item, ring) for item in _split_list(toks, end, "relations")]
     try:
         return AlgebraSpec(name, variables, order, relations, precedence)
     except ValueError as exc:
@@ -316,54 +325,44 @@ def parse_bindings(text, ring):
     (before or after its binding) is an error. Every nonzero: name must be
     listed under free:, anywhere in the file.
     """
+    lines = {}
+    for t in _tokenize(text)[:-1]:
+        lines.setdefault(t[2], []).append(t)
     bindings = {}
     free = []
     nonzero = []
-    nonzero_lines = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    first_nonzero = {}
+    for toks in lines.values():
+        last = toks[-1]
+        end = ("EOF", "", last[2], last[3] + len(last[1]))
+        head = toks[0]
+        kind = head[1]
+        if kind in ("free", "nonzero") and len(toks) > 1 and toks[1][0] == ":":
+            for t in _name_tokens(toks[2:], end, kind):
+                name = t[1]
+                if name not in ring.index:
+                    raise ParseError("unknown symbol %r" % name, t[2], t[3])
+                if kind == "nonzero":
+                    first_nonzero.setdefault(name, t)
+                    nonzero.append(name)
+                elif name in bindings:
+                    raise ParseError("symbol %r is both bound and free" % name, t[2], t[3])
+                else:
+                    free.append(name)
             continue
-        if line.startswith("free:"):
-            names = _names_from_csv(line[len("free:"):], ring, lineno)
-            for name in names:
-                if name in bindings:
-                    raise ParseError("symbol %r is both bound and free" % name, lineno, 1)
-            free.extend(names)
-            continue
-        if line.startswith("nonzero:"):
-            names = _names_from_csv(line[len("nonzero:"):], ring, lineno)
-            for name in names:
-                nonzero_lines.setdefault(name, lineno)
-            nonzero.extend(names)
-            continue
-        if "=" not in line:
-            raise ParseError("expected 'SYMBOL = polynomial'", lineno, 1)
-        sym, _, rhs = line.partition("=")
-        sym = sym.strip()
+        eq = toks[1] if len(toks) > 1 else end
+        if head[0] != "NAME" or eq[0] != "=":
+            t = eq if head[0] == "NAME" else head
+            raise ParseError("expected 'SYMBOL = polynomial'", t[2], t[3])
+        sym = head[1]
         if sym not in ring.index:
-            raise ParseError("unknown symbol %r in bindings" % sym, lineno, 1)
+            raise ParseError("unknown symbol %r in bindings" % sym, head[2], head[3])
         if sym in bindings:
-            raise ParseError("symbol %r bound twice" % sym, lineno, 1)
+            raise ParseError("symbol %r bound twice" % sym, head[2], head[3])
         if sym in free:
-            raise ParseError("symbol %r is both bound and free" % sym, lineno, 1)
-        try:
-            bindings[sym] = parse_polynomial(rhs, ring)
-        except ParseError as exc:
-            raise ParseError("in binding for %s: %s" % (sym, exc), lineno, 1)
-    for name, lineno in nonzero_lines.items():
+            raise ParseError("symbol %r is both bound and free" % sym, head[2], head[3])
+        bindings[sym] = _parse_poly_tokens(toks[2:] + [end], ring)
+    for name, t in first_nonzero.items():
         if name not in free:
-            raise ParseError("nonzero symbol %r is not listed under free:" % name, lineno, 1)
+            raise ParseError("nonzero symbol %r is not listed under free:" % name, t[2], t[3])
     return {"bindings": bindings, "free": free, "nonzero": nonzero}
-
-
-def _names_from_csv(chunk, ring, lineno):
-    names = []
-    for part in chunk.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if part not in ring.index:
-            raise ParseError("unknown symbol %r" % part, lineno, 1)
-        names.append(part)
-    return names

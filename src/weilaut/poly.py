@@ -11,16 +11,22 @@ the operand itself when nothing changes), and no code writes its terms dict
 after construction. Every cache on a polynomial relies on this: its
 rendering (__repr__), its variable set (vars_used), its primitive form
 (primitive) and its linear leads (linear_leads: the variables that occur
-only in one term c*var, c a constant) are each computed once, on first use,
-and stay valid for the polynomial's lifetime. Because substitute returns the
-operand itself when a binding does not touch it, the facts survive a solver
-step for every equation the step leaves alone.
+only in one term c*var, c a constant) and its leading term (leading) are
+each computed once, on first use, and stay valid for the polynomial's
+lifetime. Because substitute returns the operand itself when a binding does
+not touch it, the facts survive a solver step for every equation the step
+leaves alone.
+
+Multivariate division has one implementation, divide: it returns the
+quotients and the remainder by a list of divisors in one pass. exact_div is
+division by one divisor with a zero remainder; the Groebner bases and normal
+forms of quotient.py are remainders by the basis.
 """
 
 from fractions import Fraction
 from itertools import compress
 from math import gcd
-from operator import add, itemgetter
+from operator import add, itemgetter, le, neg, sub
 
 from .scalar import FieldElement, _udivmod, _utrim, eval_rational, field_div, sign_of
 
@@ -138,7 +144,7 @@ class Polynomial:
     # _primitive is None before primitive() is first called, True when the
     # polynomial is its own primitive form (a flag, not a reference to
     # itself, so no polynomial keeps itself alive), else the primitive form
-    __slots__ = ("ring", "terms", "_repr", "_vars", "_primitive", "_leads")
+    __slots__ = ("ring", "terms", "_repr", "_vars", "_primitive", "_leads", "_leading")
 
     def __init__(self, ring, terms):
         self.ring = ring
@@ -147,6 +153,7 @@ class Polynomial:
         self._vars = None
         self._primitive = None
         self._leads = None
+        self._leading = None
 
     # -- basics ------------------------------------------------------------
 
@@ -209,11 +216,13 @@ class Polynomial:
         return all(not any(e) for e in self.terms)
 
     def leading(self):
-        if not self.terms:
-            raise PolyError("zero polynomial has no leading term")
-        key = self.ring.order.key
-        exps = max(self.terms, key=key)
-        return exps, self.terms[exps]
+        """(exps, coeff) of the largest term in the ring's monomial order."""
+        if self._leading is None:
+            if not self.terms:
+                raise PolyError("zero polynomial has no leading term")
+            exps = max(self.terms, key=self.ring.order.key)
+            self._leading = exps, self.terms[exps]
+        return self._leading
 
     # -- arithmetic --------------------------------------------------------
 
@@ -434,6 +443,68 @@ class Polynomial:
         out._primitive = True
         return out
 
+    def divide(self, divisors):
+        """(quotients, remainder) of self by the nonzero divisors.
+
+        The division algorithm of Cox, Little and O'Shea (Ideals, Varieties,
+        and Algorithms, 2.3): self == sum(q * d) + remainder, and no term of
+        remainder is divisible by the leading monomial of any divisor. Terms
+        are taken largest first; the first divisor whose leading monomial
+        divides a term cancels it, and a term no leading monomial divides
+        moves to the remainder. A leading coefficient other than 1 is
+        inverted once, when its divisor is first used.
+        """
+        # imported here: loading heapq would add to every import of weilaut
+        from heapq import heapify, heappop, heappush
+        leads = [d.leading() for d in divisors]
+        invs = [None] * len(leads)
+        quotients = [{} for _ in leads]
+        rem = {}
+        work = dict(self.terms)
+        ring = self.ring
+        key = ring.order.key
+
+        def entry(e):
+            # heapq pops the smallest, so negate the order key
+            d, rest = key(e)
+            return -d, tuple(map(neg, rest)), e
+
+        heap = [entry(e) for e in work]
+        heapify(heap)
+        while heap:
+            exps = heappop(heap)[2]
+            c = work.pop(exps, None)
+            if c is None:
+                continue
+            for i, (lexps, lc) in enumerate(leads):
+                if all(map(le, lexps, exps)):
+                    break
+            else:
+                rem[exps] = c
+                continue
+            if lc != 1:
+                if invs[i] is None:
+                    invs[i] = field_div(1, lc)
+                c = c * invs[i]
+            shift = tuple(map(sub, exps, lexps))
+            quotients[i][shift] = c
+            for f, fc in divisors[i].terms.items():
+                if f is lexps:  # leading() returns the terms dict's own key
+                    continue
+                e = tuple(map(add, shift, f))
+                t = c * fc
+                s = work.get(e)
+                if s is None:
+                    work[e] = -t
+                    heappush(heap, entry(e))
+                else:
+                    s = s - t
+                    if s:
+                        work[e] = s
+                    else:
+                        del work[e]
+        return tuple(Polynomial(ring, q) for q in quotients), Polynomial(ring, rem)
+
     def exact_div(self, other):
         """Exact polynomial division; raises PolyError on a remainder."""
         other = self.ring.coerce(other)
@@ -442,45 +513,10 @@ class Polynomial:
         if other.is_constant():
             inv = field_div(1, other.constant_value())
             return self.map_coeffs(lambda v: v * inv)
-        # imported here: loading heapq would add to every import of weilaut
-        from heapq import heapify, heappop, heappush
-        rem = dict(self.terms)
-        q = {}
-        dexps, dc = other.leading()
-        dinv = field_div(1, dc)
-        tail = [(e, c) for e, c in other.terms.items() if e != dexps]
-        prec = self.ring.order.precedence
-
-        def entry(e):
-            # heapq pops the smallest, so negate the order key
-            return (-sum(e), tuple(-e[i] for i in prec)), e
-
-        heap = [entry(e) for e in rem]
-        heapify(heap)
-        while heap:
-            exps = heappop(heap)[1]
-            c = rem.pop(exps, None)
-            if c is None:
-                continue
-            ne = tuple(a - b for a, b in zip(exps, dexps))
-            if any(k < 0 for k in ne):
-                raise PolyError("division is not exact")
-            c = c * dinv
-            q[ne] = c
-            for f, fc in tail:
-                e = tuple(a + b for a, b in zip(ne, f))
-                t = c * fc
-                s = rem.get(e)
-                if s is None:
-                    rem[e] = -t
-                    heappush(heap, entry(e))
-                else:
-                    s = s - t
-                    if s:
-                        rem[e] = s
-                    else:
-                        del rem[e]
-        return Polynomial(self.ring, q)
+        (q,), r = self.divide((other,))
+        if r:
+            raise PolyError("division is not exact")
+        return q
 
     def derivative(self, var):
         i = self.ring.index[var]

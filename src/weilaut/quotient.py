@@ -2,12 +2,13 @@
 
 The ideals here always contain every monomial of total degree r + 1, which
 keeps the quotient finite-dimensional and Buchberger trivially terminating.
-Coefficients are rational.
+Coefficients are rational. Every reduction, in Buchberger and in normal
+forms, is the remainder of Polynomial.divide by the basis.
 """
 
 from itertools import combinations
 
-from .poly import Polynomial, PolyError, monomials
+from .poly import PolyError, monomials
 
 
 class IdealPresentation:
@@ -29,14 +30,12 @@ class IdealPresentation:
 
 
 class GroebnerBasis:
-    __slots__ = ("ring", "elements", "order", "truncation_order", "_leads")
+    __slots__ = ("ring", "elements", "truncation_order")
 
     def __init__(self, ring, elements, truncation_order):
         self.ring = ring
         self.elements = tuple(elements)
-        self.order = ring.order
         self.truncation_order = truncation_order
-        self._leads = tuple(g.leading()[0] for g in self.elements)
 
 
 def _divides(e1, e2):
@@ -47,38 +46,6 @@ def _lcm_exps(e1, e2):
     return tuple(max(a, b) for a, b in zip(e1, e2))
 
 
-def _reduce(p, basis):
-    """Full remainder of p modulo the (monic) basis polynomials."""
-    ring = p.ring
-    key = ring.order.key
-    rem = {}
-    work = dict(p.terms)
-    while work:
-        exps = max(work, key=key)
-        c = work.pop(exps)
-        hit = None
-        for g in basis:
-            le = g.leading()[0]
-            if _divides(le, exps):
-                hit = (g, le)
-                break
-        if hit is None:
-            rem[exps] = rem.get(exps, 0) + c
-            continue
-        g, le = hit
-        shift = tuple(a - b for a, b in zip(exps, le))
-        sub = Polynomial(ring, {shift: c}) * g
-        for e, v in sub.terms.items():
-            if e == exps:
-                continue
-            s = work.get(e, 0) - v
-            if s:
-                work[e] = s
-            elif e in work:
-                del work[e]
-    return Polynomial(ring, {e: c for e, c in rem.items() if c})
-
-
 def buchberger(ideal):
     """Reduced monic Groebner basis of generators + degree-(r+1) monomials."""
     ring = ideal.ring
@@ -86,7 +53,7 @@ def buchberger(ideal):
     gens = list(ideal.generators)
     basis = []
     for g in gens + [ring.monomial(e) for e in monomials(len(ring.vars), r + 1, r + 1)]:
-        g = _reduce(g, basis)
+        g = g.divide(basis)[1]
         if g:
             basis.append(g.monic())
     pairs = list(combinations(range(len(basis)), 2))
@@ -99,10 +66,8 @@ def buchberger(ideal):
             continue  # coprime leading monomials
         si = tuple(a - b for a, b in zip(lcm, li))
         sj = tuple(a - b for a, b in zip(lcm, lj))
-        s = Polynomial(ring, {si: ring.domain.coerce(1)}) * gi - Polynomial(
-            ring, {sj: ring.domain.coerce(1)}
-        ) * gj
-        s = _reduce(s, basis)
+        s = ring.monomial(si) * gi - ring.monomial(sj) * gj
+        s = s.divide(basis)[1]
         if s:
             basis.append(s.monic())
             k = len(basis) - 1
@@ -122,7 +87,7 @@ def buchberger(ideal):
     final = []
     for i, g in enumerate(keep):
         others = keep[:i] + keep[i + 1 :]
-        final.append(_reduce(g, others).monic())
+        final.append(g.divide(others)[1].monic())
     final.sort(key=lambda g: ring.order.key(g.leading()[0]))
     return GroebnerBasis(ring, final, r)
 
@@ -130,16 +95,14 @@ def buchberger(ideal):
 def normal_form(p, gb):
     if p.ring.vars != gb.ring.vars:
         raise PolyError("mismatched variable context")
-    return _reduce(p, gb.elements)
+    return p.divide(gb.elements)[1]
 
 
 def standard_monomials(gb):
     """Monomials of degree <= r outside the leading-term ideal, ascending."""
     ring, r = gb.ring, gb.truncation_order
-    out = [
-        e for e in monomials(len(ring.vars), 0, r)
-        if not any(_divides(le, e) for le in gb._leads)
-    ]
+    leads = [g.leading()[0] for g in gb.elements]
+    out = [e for e in monomials(len(ring.vars), 0, r) if not any(_divides(le, e) for le in leads)]
     out.sort(key=ring.order.key)
     return out
 

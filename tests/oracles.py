@@ -11,12 +11,16 @@ from polynomial products, not from structure constants.
 linear_bind_candidates and trial_division_linear_bind keep the solver's
 earlier linear bind, which tried every guarded-monomial coefficient by exact
 division, as a reference for the constant-lead bind that replaced it.
+filtered_determinant multiplies the package's Bareiss determinants of the
+diagonal blocks; the filtration tests check it against Bareiss on the whole
+matrix.
 """
 
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
 
+from weilaut.linalg import bareiss_determinant, check_block_triangular
 from weilaut.quotient import normal_form
 
 
@@ -291,6 +295,20 @@ def matmul(a, b):
 def principal(matrix, positions):
     """The principal submatrix on the given row and column positions."""
     return [[matrix[i][j] for j in positions] for i in positions]
+
+
+def filtered_determinant(rows, blocks, exact_div):
+    """Determinant of a matrix that is block upper-triangular along blocks.
+
+    The matrix must pass check_block_triangular; the determinant is then the
+    product of the diagonal blocks' determinants.
+    """
+    check_block_triangular(rows, blocks)
+    det = None
+    for block in blocks:
+        d = bareiss_determinant([[rows[i][j] for j in block] for i in block], exact_div)
+        det = d if det is None else det * d
+    return det
 
 
 def degree_one(algebra):

@@ -185,7 +185,7 @@ def test_verify_rejects_a_nonzero_symbol_that_is_not_free(tmp_path, capsys):
     code = main(["verify", spec_path("quartic"), str(bad), "--samples", "3"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "nonzero symbol 'B' is not listed under free: (line 7, col 1)" in captured.err
+    assert "nonzero symbol 'B' is not listed under free: (line 7, col 13)" in captured.err
     assert "sample" not in captured.out
 
 

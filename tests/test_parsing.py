@@ -152,3 +152,70 @@ def test_a_trailing_separator_is_rejected_in_every_name_list(text, message):
     with pytest.raises(ParseError, match=message) as err:
         parse_specfile(text)
     assert err.value.col == text.index(",;" if "," in message else ">;") + 1
+
+
+RELATIONS = "algebra t { vars: X, Y; order: 2; relations: %s; }"
+
+
+@pytest.mark.parametrize(
+    "relations, message, comma",
+    [
+        ("X^2,, Y^2", "empty item in relations", 4),
+        (", X^2, Y^2", "empty item in relations", 0),
+        ("X^2, Y^2,", "trailing ',' in relations", 8),
+        ("X^2, (Y^2),", "trailing ',' in relations", 10),
+    ],
+    ids=["doubled", "leading", "trailing", "trailing-after-parens"],
+)
+def test_an_empty_relation_is_rejected_at_its_comma(relations, message, comma):
+    # comma: the offending ',' as an index into relations
+    text = RELATIONS % relations
+    assert relations[comma] == ","
+    with pytest.raises(ParseError, match=message) as err:
+        parse_specfile(text)
+    assert (err.value.line, err.value.col) == (1, text.index(relations) + comma + 1)
+
+
+def test_an_empty_relation_list_is_allowed_and_an_empty_name_is_not():
+    assert parse_specfile(RELATIONS % "")[0].relations == ()
+    text = "algebra t { vars: X,, Y; order: 2; relations: ; }"
+    with pytest.raises(ParseError, match="empty item in vars") as err:
+        parse_specfile(text)
+    assert err.value.col == text.index(",,") + 2
+
+
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        ("free: A,, B", "empty item in free", 9),
+        ("free: A, B,", "trailing ',' in free", 11),
+        ("nonzero: ,", "empty item in nonzero", 10),
+        ("free: A, D", "unknown symbol 'D'", 10),
+        # the polynomial ends at the end of its line
+        ("A = B +\nfree: C", "expected a polynomial factor, found 'EOF'", 8),
+        ("A + 1", "expected 'SYMBOL = polynomial'", 3),
+        ("D = 1", "unknown symbol 'D' in bindings", 1),
+    ],
+)
+def test_bindings_errors_carry_one_true_position(text, message, col):
+    ring = PolyRing(("A", "B", "C"), QQ)
+    with pytest.raises(ParseError, match=message) as err:
+        parse_bindings(text, ring)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert str(err.value).count("(line ") == 1
+
+
+def test_bindings_rules_point_at_the_offending_name():
+    ring = PolyRing(("A", "B", "C"), QQ)
+    for text, message, pos in (
+        ("A = 1\n  A = 2", "'A' bound twice", (2, 3)),
+        ("B = 0\nfree: A, B", "'B' is both bound and free", (2, 10)),
+        ("free: A, B\n B = 0", "'B' is both bound and free", (2, 2)),
+        ("free: A\nnonzero: A, B", "nonzero symbol 'B' is not listed under free:", (2, 13)),
+    ):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_bindings(text, ring)
+        assert (err.value.line, err.value.col) == pos
+    # comments and blank lines are skipped, and a list may be empty
+    out = parse_bindings("# none bound\n\nfree:\nA = B  # bound\n", ring)
+    assert out == {"bindings": {"A": ring.var("B")}, "free": [], "nonzero": []}

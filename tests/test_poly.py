@@ -226,6 +226,105 @@ def test_exact_div_rejects_a_remainder():
         (X**2 + Y).exact_div(X * Y)
 
 
+def divide_by_definition(f, divisors):
+    """The division algorithm of Cox, Little and O'Shea (2.3, Theorem 3),
+    one leading term at a time on whole polynomials."""
+    ring = f.ring
+    key = ring.order.key
+
+    def leading_term(p):
+        e = max(p.terms, key=key)
+        return e, p.terms[e]
+
+    quotients = [ring.zero() for _ in divisors]
+    rem, p = ring.zero(), f
+    while p:
+        e, c = leading_term(p)
+        for i, d in enumerate(divisors):
+            de, dc = leading_term(d)
+            if all(a >= b for a, b in zip(e, de)):
+                t = ring.monomial(tuple(a - b for a, b in zip(e, de)), c / dc)
+                quotients[i] = quotients[i] + t
+                p = p - t * d
+                break
+        else:
+            rem = rem + ring.monomial(e, c)
+            p = p - ring.monomial(e, c)
+    return quotients, rem
+
+
+def check_division_theorem(f, divisors):
+    key = f.ring.order.key
+    quotients, rem = f.divide(divisors)
+    assert len(quotients) == len(divisors)
+    total = rem
+    for q, d in zip(quotients, divisors):
+        total = total + q * d
+    assert total == f
+    leads = [max(d.terms, key=key) for d in divisors]
+    for e in rem.terms:
+        assert not any(all(a >= b for a, b in zip(e, le)) for le in leads)
+    # no product q * d has a term above the leading term of f
+    for q, d in zip(quotients, divisors):
+        if q:
+            assert key(max((q * d).terms, key=key)) <= key(max(f.terms, key=key))
+    want_quotients, want_rem = divide_by_definition(f, divisors)
+    assert list(quotients) == want_quotients
+    assert rem == want_rem
+
+
+@pytest.mark.parametrize("precedence", (None, ("Z", "Y", "X")))
+def test_divide_meets_the_division_theorem(precedence):
+    rng = random.Random(33)
+    r = PolyRing(("X", "Y", "Z"), QQ, precedence)
+    X, Y = r.var("X"), r.var("Y")
+    for _ in range(40):
+        f = rand_poly(rng, r, maxdeg=3, nterms=rng.randrange(1, 8))
+        if not f:
+            continue
+        divisors = [rand_poly(rng, r, 1, rng.randrange(1, 4)) for _ in range(rng.randrange(1, 4))]
+        # a low lead that divides many terms
+        divisors.append(X - 2 * Y if rng.random() < 0.5 else 3 * Y)
+        check_division_theorem(f, [d for d in divisors if d])
+
+
+def test_divide_over_an_extension_field():
+    F = cbrt4_field()
+    rng = random.Random(34)
+    c = F.gen()
+    for precedence in (None, ("B", "A")):
+        r = PolyRing(("A", "B"), F, precedence)
+        for _ in range(15):
+            f = rand_poly(rng, r, 3, 4) + r.const(c) * rand_poly(rng, r, 2, 3)
+            # leading coefficients like c^2 are inverted in the field
+            divisors = [
+                rand_poly(rng, r, 1, 2) * r.const(c * c) + r.var("A") - r.const(c),
+                rand_poly(rng, r, 1, 2) + r.var("B") * r.const(c),
+            ]
+            if f:
+                check_division_theorem(f, [d for d in divisors if d])
+
+
+def test_divide_takes_the_first_divisor_whose_lead_divides():
+    # Cox, Little and O'Shea, 2.3, Example 2: both leads divide x*y^2, and
+    # the order of the divisors changes the quotients and the remainder
+    r = xy_ring()
+    X, Y = r.var("X"), r.var("Y")
+    f = X * Y**2 - X
+    assert f.divide((X * Y + 1, Y**2 - 1)) == ((Y, r.zero()), -X - Y)
+    assert f.divide((Y**2 - 1, X * Y + 1)) == ((X, r.zero()), r.zero())
+    # no divisors: the remainder is f itself
+    assert f.divide(()) == ((), f)
+    assert r.zero().divide((X,)) == ((r.zero(),), r.zero())
+
+
+def test_leading_term_is_computed_once():
+    r = xy_ring()
+    p = r.var("X") * r.var("Y") - r.var("Y") ** 3
+    assert p.leading() is p.leading()
+    assert p.leading() == ((0, 3), -1)
+
+
 def test_normalizers():
     r = xy_ring()
     X, Y = r.var("X"), r.var("Y")
