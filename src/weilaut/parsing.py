@@ -279,26 +279,32 @@ def parse_specfile(text):
             if key in entries:
                 raise ParseError("duplicate %r entry" % key, key_tok[2], key_tok[3])
             entries[key] = (toks, key_tok, end)
-        s.expect("}")
-        specs.append(_build_spec(name, entries))
+        close = s.expect("}")
+        specs.append(_build_spec(name, entries, close))
     if not specs:
         raise ParseError("no algebra block found")
     return specs
 
 
-def _build_spec(name, entries):
+def _build_spec(name, entries, close):
+    """One block's AlgebraSpec. AlgebraSpec's checks are made here first, each
+    at the token it is about; close is the block's closing '}'."""
     for key, (_, kt, _) in entries.items():
         if key not in ("vars", "order", "relations", "precedence"):
             raise ParseError("unknown entry %r" % key, kt[2], kt[3])
     for key in ("vars", "order", "relations"):
         if key not in entries:
-            raise ParseError("algebra %r is missing the %r entry" % (name, key))
+            raise ParseError("algebra %r is missing the %r entry" % (name, key), close[2], close[3])
     toks, _, end = entries["vars"]
-    variables = [t[1] for t in _name_tokens(toks, end, "vars")]
+    variables = []
+    for t in _name_tokens(toks, end, "vars"):
+        if t[1] in variables:
+            raise ParseError("duplicate variable %r in vars" % t[1], t[2], t[3])
+        variables.append(t[1])
     if not variables:
-        raise ParseError("empty vars list in algebra %r" % name)
+        raise ParseError("empty vars list in algebra %r" % name, end[2], end[3])
     otoks = entries["order"][0]
-    if len(otoks) != 1 or otoks[0][0] != "INT":
+    if len(otoks) != 1 or otoks[0][0] != "INT" or int(otoks[0][1]) < 1:
         t = otoks[0] if otoks else entries["order"][1]
         raise ParseError("order must be a positive integer", t[2], t[3])
     order = int(otoks[0][1])
@@ -311,11 +317,15 @@ def _build_spec(name, entries):
             raise ParseError("precedence must list every variable exactly once", t[2], t[3])
     ring = PolyRing(tuple(variables), QQ, tuple(precedence) if precedence else None)
     toks, _, end = entries["relations"]
-    relations = [_parse_poly_tokens(item, ring) for item in _split_list(toks, end, "relations")]
-    try:
-        return AlgebraSpec(name, variables, order, relations, precedence)
-    except ValueError as exc:
-        raise ParseError(str(exc))
+    relations = []
+    constant = (0,) * len(variables)
+    for item in _split_list(toks, end, "relations"):
+        p = _parse_poly_tokens(item, ring)
+        if constant in p.terms:
+            t = item[0]
+            raise ParseError("relation %r has a nonzero constant term" % (p,), t[2], t[3])
+        relations.append(p)
+    return AlgebraSpec(name, variables, order, relations, precedence)
 
 
 def parse_bindings(text, ring):

@@ -21,6 +21,9 @@ Multivariate division has one implementation, divide: it returns the
 quotients and the remainder by a list of divisors in one pass. exact_div is
 division by one divisor with a zero remainder; the Groebner bases and normal
 forms of quotient.py are remainders by the basis.
+
+A univariate polynomial is a coefficient list, handled by scalar.py's
+kernel; univariate_coeffs is the one bridge to it from a Polynomial.
 """
 
 from fractions import Fraction
@@ -28,7 +31,7 @@ from itertools import compress
 from math import gcd
 from operator import add, itemgetter, le, neg, sub
 
-from .scalar import FieldElement, _udivmod, _utrim, eval_rational, field_div, sign_of
+from .scalar import FieldElement, field_div
 
 
 class PolyError(ArithmeticError):
@@ -566,84 +569,15 @@ class Polynomial:
         return " ".join(parts)
 
 
-# -- univariate tools: coefficient lists over the scalar field ---------------
-
-
-def univariate_coeffs(p, var=None):
-    """Coefficient list (constant first) of a polynomial using one variable."""
-    used = p.vars_used()
-    if var is None:
-        if len(used) > 1:
-            raise PolyError("polynomial is not univariate")
-        var = next(iter(used)) if used else p.ring.vars[0]
-    elif used - {var}:
+def univariate_coeffs(p, var):
+    """Coefficient list (constant first) of a polynomial in var alone."""
+    if p.vars_used() - {var}:
         raise PolyError("polynomial uses more than %s" % var)
     i = p.ring.index[var]
-    n = p.degree_in(var)
-    out = [p.ring.domain.coerce(0)] * (n + 1)
+    out = [p.ring.domain.coerce(0)] * (p.degree_in(var) + 1)
     for e, c in p.terms.items():
         out[e[i]] = c
     return out
-
-
-def _ugcd_monic(a, b):
-    a, b = _utrim(list(a)), _utrim(list(b))
-    while b:
-        a, b = b, _udivmod(a, b)[1]
-    if not a:
-        return a
-    inv = field_div(1, a[-1])
-    return [c * inv for c in a]
-
-
-def _uderiv(a):
-    return _utrim([a[i] * i for i in range(1, len(a))])
-
-
-def sturm_count(p, interval=(None, None)):
-    """Distinct real roots of a univariate polynomial in (lo, hi].
-
-    p is a Polynomial in one variable (or a coefficient list); None endpoints
-    mean -oo / +oo. Signs of extension-field values go through scalar.sign_of.
-    """
-    coeffs = list(p) if isinstance(p, (list, tuple)) else univariate_coeffs(p)
-    coeffs = _utrim(coeffs)
-    if not coeffs:
-        raise PolyError("zero polynomial")
-    if len(coeffs) == 1:
-        return 0
-    d = _uderiv(coeffs)
-    g = _ugcd_monic(coeffs, d)
-    if len(g) > 1:
-        coeffs, r = _udivmod(coeffs, g)
-        if r:
-            raise PolyError("univariate division not exact")
-    if len(coeffs) == 1:
-        return 0
-    chain = [coeffs, _uderiv(coeffs)]
-    while len(chain[-1]) > 1:
-        r = _udivmod(chain[-2], chain[-1])[1]
-        if not r:
-            break
-        chain.append([-c for c in r])
-    lo, hi = interval
-
-    def variations(x, at_inf):
-        signs = []
-        for q in chain:
-            if at_inf == 0:
-                s = sign_of(eval_rational(q, x))
-            else:
-                s = sign_of(q[-1])
-                if at_inf < 0 and (len(q) - 1) % 2 == 1:
-                    s = -s
-            if s:
-                signs.append(s)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    vlo = variations(Fraction(lo), 0) if lo is not None else variations(None, -1)
-    vhi = variations(Fraction(hi), 0) if hi is not None else variations(None, +1)
-    return vlo - vhi
 
 
 def resultant(p, q, var):

@@ -2,9 +2,13 @@
 
 An ExtensionField is Q[c]/(p(c)) for a monic p with one isolated real root;
 elements are coefficient tuples reduced mod p. Degree 1 (p = x, root 0) is
-plain Q: its coerce() and element() hand back bare Fraction, so no
-FieldElement of degree 1 is ever built and rational-only pipelines never pay
-for the wrapper. No floating point anywhere.
+plain Q: its coerce() hands back a bare Fraction, so no FieldElement of
+degree 1 is ever built and rational-only pipelines never pay for the
+wrapper. No floating point anywhere.
+
+This is also the univariate kernel: a univariate polynomial is a coefficient
+list over one of these fields, constant first, and its arithmetic (division,
+gcd, derivative, evaluation, Sturm count) lives here.
 """
 
 from fractions import Fraction
@@ -78,6 +82,63 @@ def _eval_interval(coeffs, lo, hi):
     return rlo, rhi
 
 
+def _ugcd_monic(a, b):
+    a, b = _utrim(list(a)), _utrim(list(b))
+    while b:
+        a, b = b, _udivmod(a, b)[1]
+    if not a:
+        return a
+    inv = field_div(1, a[-1])
+    return [c * inv for c in a]
+
+
+def _uderiv(a):
+    return _utrim([a[i] * i for i in range(1, len(a))])
+
+
+def sturm_count(coeffs, interval=(None, None)):
+    """Distinct real roots in (lo, hi] of a nonzero coefficient list; a None
+    endpoint is -oo / +oo (Basu, Pollack, Roy, Algorithms in Real Algebraic
+    Geometry, ch. 2)."""
+    coeffs = _utrim(list(coeffs))
+    if not coeffs:
+        raise FieldError("zero polynomial")
+    if len(coeffs) == 1:
+        return 0
+    d = _uderiv(coeffs)
+    g = _ugcd_monic(coeffs, d)
+    if len(g) > 1:
+        coeffs, r = _udivmod(coeffs, g)
+        if r:
+            raise FieldError("univariate division not exact")
+    if len(coeffs) == 1:
+        return 0
+    chain = [coeffs, _uderiv(coeffs)]
+    while len(chain[-1]) > 1:
+        r = _udivmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append([-c for c in r])
+    lo, hi = interval
+
+    def variations(x, at_inf):
+        signs = []
+        for q in chain:
+            if at_inf == 0:
+                s = sign_of(eval_rational(q, x))
+            else:
+                s = sign_of(q[-1])
+                if at_inf < 0 and (len(q) - 1) % 2 == 1:
+                    s = -s
+            if s:
+                signs.append(s)
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    vlo = variations(Fraction(lo), 0) if lo is not None else variations(None, -1)
+    vhi = variations(Fraction(hi), 0) if hi is not None else variations(None, +1)
+    return vlo - vhi
+
+
 class ExtensionField:
     """Q[c]/(minpoly) with a rational interval isolating one real root.
 
@@ -116,12 +177,9 @@ class ExtensionField:
         return FieldElement(self, (q,) + (Fraction(0),) * (self.degree - 1))
 
     def element(self, coeffs):
+        """sum(coeffs[i] * c^i), degree >= 2, from at most degree coeffs."""
         cs = [Fraction(a) for a in coeffs]
-        if len(cs) > self.degree:
-            _, cs = _udivmod(cs, list(self.minpoly))
         cs += [Fraction(0)] * (self.degree - len(cs))
-        if self.degree == 1:
-            return cs[0]
         return FieldElement(self, tuple(cs))
 
     def zero(self):

@@ -4,21 +4,23 @@ A branch carries the residual equations, the accumulated bindings, and the
 nonzero hypotheses (guards) introduced by case splits. Deterministic rules
 shrink a branch (substituting forced bindings); splitting rules fan out into
 complementary subcases, each described by a spec (path atoms, guards,
-binding) that _child turns into a branch; small residual systems are
-finished off exactly with resultants and Sturm counts. Guards arise only
+binding) that _child turns into a branch. The finite split and
+close_branch, which finishes small residual systems, take the real values of
+one unknown from one routine, _real_values: it eliminates a second unknown
+by a resultant and finds the real roots of the gcd exactly, on the
+coefficient lists of scalar.py's univariate kernel. Guards arise only
 from split complements, never from the invertibility requirement, which
 instead kills a branch outright when it collapses to zero.
 """
 
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 from math import lcm
 from operator import itemgetter
 
 from .scalar import QQ, ExtensionField, FieldElement, eval_rational, field_div
-from .scalar import kth_root_in_field, sign_of
-from .poly import Polynomial, PolyError, PolyRing, resultant, sturm_count, univariate_coeffs
-from .poly import _ugcd_monic
+from .scalar import _ugcd_monic, kth_root_in_field, sign_of, sturm_count
+from .poly import Polynomial, PolyError, PolyRing, resultant, univariate_coeffs
 
 NONDEG_VANISHED = "nondegeneracy-vanished"
 INCONSISTENT = "inconsistent-constants"
@@ -454,18 +456,12 @@ def _split_finite(br):
             if len(sub) >= 2 and any(p.degree_in(v) > 0 for p in sub):
                 plans.append((u, sub, v))
     for u, sub, v in plans:
-        pool, reason = _eliminate(sub, u, v)
+        values, reason = _real_values(br.ring, sub, u, v)
         if reason:
             continue
-        g = _common_univariate(pool, u)
-        if g.is_constant():
-            raise ContradictionSignal(NO_REAL_SOLUTION, "equations in %s share no root" % u)
-        roots, complete = _exact_real_roots(g, u)
-        if not complete:
-            continue
-        if not roots:
+        if not values:
             raise ContradictionSignal(NO_REAL_SOLUTION, "no real value for %s" % u)
-        return [(("%s = %s" % (u, r),), [], (u, br.ring.const(r))) for r in roots]
+        return [(("%s = %s" % (u, r),), [], (u, br.ring.const(r))) for r in values]
     return None
 
 
@@ -482,14 +478,10 @@ def _divisors(n):
     return sorted(out)
 
 
-def _sorted_roots(roots):
-    return sorted(roots, key=cmp_to_key(lambda a, b: sign_of(a - b)))
-
-
-def _exact_real_roots(p, var):
-    """All real roots of a univariate polynomial, with a completeness flag."""
-    coeffs = univariate_coeffs(p, var)
-    total = sturm_count(p, (None, None))
+def _exact_real_roots(coeffs, domain):
+    """The real roots, sorted, of a nonzero coefficient list over domain,
+    with a completeness flag."""
+    total = sturm_count(coeffs)
     roots = []
     low = 0
     while low < len(coeffs) and not coeffs[low]:
@@ -498,7 +490,7 @@ def _exact_real_roots(p, var):
         roots.append(Fraction(0))
         coeffs = coeffs[low:]
     if len(coeffs) <= 1:
-        return _sorted_roots(roots), len(roots) == total
+        return roots, len(roots) == total
     candidates = set()
     if len(coeffs) == 2:
         c0, c1 = coeffs
@@ -507,12 +499,12 @@ def _exact_real_roots(p, var):
         # a*u^m + b
         m = len(coeffs) - 1
         t = field_div(-coeffs[0], coeffs[-1])
-        r = kth_root_in_field(p.ring.domain, t, m)
+        r = kth_root_in_field(domain, t, m)
         if r is not None:
             candidates.add(r)
             if m % 2 == 0:
                 candidates.add(-r)
-    if p.ring.domain is QQ:
+    if domain is QQ:
         den = lcm(*(Fraction(c).denominator for c in coeffs))
         ints = [int(Fraction(c) * den) for c in coeffs]
         a0, an = ints[0], ints[-1]
@@ -521,38 +513,39 @@ def _exact_real_roots(p, var):
                 for dd in _divisors(an):
                     candidates.add(Fraction(dn, dd))
                     candidates.add(Fraction(-dn, dd))
-    for r in candidates:
-        if not eval_rational(coeffs, r):
-            roots.append(r)
-    dedup = []
-    for r in _sorted_roots(roots):
-        if not any(not (r - q) for q in dedup):
-            dedup.append(r)
-    return dedup, len(dedup) == total
+    # the candidates are distinct, and none is 0 once the zero roots are out
+    roots.extend(r for r in candidates if not eval_rational(coeffs, r))
+    roots.sort(key=cmp_to_key(lambda a, b: sign_of(a - b)))
+    return roots, len(roots) == total
 
 
-def _common_univariate(equations, var):
-    acc = None
-    for p in equations:
-        cs = univariate_coeffs(p, var)
-        acc = cs if acc is None else _ugcd_monic(acc, cs)
-    ring = equations[0].ring
-    i = ring.index[var]
-    terms = {}
-    for d, c in enumerate(acc):
-        if c:
-            e = [0] * len(ring.vars)
-            e[i] = d
-            terms[tuple(e)] = c
-    return Polynomial(ring, terms)
+def _real_values(ring, equations, u, v):
+    """The real values of u that equations in u and v allow.
+
+    v, unless None, is eliminated by one resultant (_eliminate); the real
+    roots of the gcd of the equations left in u are then found exactly.
+    Returns (values, None), the values sorted and complete, or (None, reason).
+    """
+    pool, reason = _eliminate(equations, u, v)
+    if reason:
+        return None, reason
+    g = reduce(_ugcd_monic, (univariate_coeffs(p, u) for p in pool))
+    values, complete = _exact_real_roots(g, ring.domain)
+    if not complete:
+        zero = (0,) * len(ring.vars)
+        i = ring.index[u]
+        terms = {zero[:i] + (d,) + zero[i + 1 :]: c for d, c in enumerate(g) if c}
+        return None, "could not enumerate the roots of %r" % Polynomial(ring, terms)
+    return values, None
 
 
-def close_branch(br, _depth=0):
+def close_branch(br):
     """Finish a branch with at most two residual unknowns exactly.
 
-    Eliminates the later unknown v (if any) by a resultant, enumerates the
-    real roots of the earlier unknown u, and finishes each root's child the
-    same way. Returns a list of leaves: families, contradictions, residuals.
+    Takes the real values of the earlier unknown u from _real_values (which
+    eliminates the later unknown v, if any), and finishes each value's child
+    the same way; a child has at most v left, so this recurses at most once.
+    Returns a list of leaves: families, contradictions, residuals.
     """
     if not br.equations:
         return [make_family(br)]
@@ -560,27 +553,19 @@ def close_branch(br, _depth=0):
     for p in br.equations:
         vs |= p.vars_used()
     vs = sorted(vs, key=br.ring.index.get)
-    if len(vs) > 2 or _depth > 3:
+    if len(vs) > 2:
         return [_residual(br, "no finishing rule for %d unknowns" % len(vs))]
     u, v = vs[0], (vs[1] if len(vs) == 2 else None)
     if v is None:
-        dead = "equations in %s share no root" % u
         how = "one unknown %s left" % u
     else:
-        dead = "eliminating %s leaves no real value for %s" % (v, u)
         how = "eliminated %s by resultant, then solved for %s" % (v, u)
-    pool, reason = _eliminate(br.equations, u, v)
+    values, reason = _real_values(br.ring, br.equations, u, v)
     if reason:
         return [_residual(br, reason)]
-    g = _common_univariate(pool, u)
-    if g.is_constant():
-        return [Contradiction(br.path, NO_REAL_SOLUTION, dead)]
-    roots, complete = _exact_real_roots(g, u)
-    if not complete:
-        return [_residual(br, "could not enumerate the roots of %r" % g)]
     leaves = []
     rejected = []
-    for r in roots:
+    for r in values:
         atom = "%s = %s" % (u, r)
         try:
             child = _simplify(_bind(br, u, br.ring.const(r), atom))
@@ -588,7 +573,7 @@ def close_branch(br, _depth=0):
             rejected.append("%s (%s)" % (atom, c.reason))
             continue
         if child.equations:
-            leaves.extend(close_branch(child, _depth + 1))
+            leaves.extend(close_branch(child))
         else:
             leaves.append(make_family(child))
     if leaves:

@@ -159,6 +159,20 @@ def test_verify_fails_and_names_the_offending_pair(tmp_path, capsys):
     assert "(Y, Y)" in out or "(X, X)" in out
 
 
+def test_verify_fails_the_zero_map_as_singular(tmp_path, capsys):
+    # the zero map satisfies every product but is not invertible
+    zero = tmp_path / "zero.bindings"
+    zero.write_text("".join("%s = 0\n" % n for n in "ABCDEF"))
+    code = main(["verify", spec_path("tangent2"), str(zero), "--samples", "2"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out == (
+        "sample 1: FAIL, linear part is singular\n"
+        "sample 2: FAIL, linear part is singular\n"
+        "verified 0/2 samples\n"
+    )
+
+
 def test_verify_rejects_a_symbol_both_bound_and_free(tmp_path, capsys):
     # the shipped quartic family with its bound B also listed as free: the
     # binding must not be silently replaced by a sample

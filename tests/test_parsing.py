@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -219,3 +220,28 @@ def test_bindings_rules_point_at_the_offending_name():
     # comments and blank lines are skipped, and a list may be empty
     out = parse_bindings("# none bound\n\nfree:\nA = B  # bound\n", ring)
     assert out == {"bindings": {"A": ring.var("B")}, "free": [], "nonzero": []}
+
+
+@pytest.mark.parametrize(
+    "text, message, token",
+    [
+        ("algebra t { vars: X, Y; order: 0; relations: X^2; }", "order must be a positive integer", "0;"),
+        ("algebra t { vars: ; order: 2; relations: ; }", "empty vars list in algebra 't'", ";"),
+        ("algebra t { vars: X, Y; order: 2; }", "algebra 't' is missing the 'relations' entry", "}"),
+        (
+            "algebra t { vars: X, Y; order: 2; relations: Y^2, X^2 + 1; }",
+            "relation X^2 + 1 has a nonzero constant term",
+            "X^2 +",
+        ),
+        ("algebra t { vars: X, X; order: 2; relations: ; }", "duplicate variable 'X' in vars", "X;"),
+        ("algebra t {\n  vars: X;\n  relations: X^2;\n  }", "algebra 't' is missing the 'order' entry", "}"),
+    ],
+    ids=["order", "empty-vars", "missing-relations", "constant-term", "duplicate-var", "missing-order"],
+)
+def test_spec_errors_point_at_their_token(text, message, token):
+    # token: the text the error must point at, found by its first occurrence
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        parse_specfile(text)
+    at = text.index(token)
+    line = text.count("\n", 0, at) + 1
+    assert (err.value.line, err.value.col) == (line, at - text.rfind("\n", 0, at))

@@ -402,6 +402,29 @@ def test_close_branch_finishes_each_root_child():
     assert [r.reason for r in res] == ["could not enumerate the roots of V^2 - 2"] * 2
 
 
+def test_finite_split_and_close_branch_share_the_real_values():
+    # equations in U with no common root: the finite split and close_branch
+    # take the (empty) values of U from one routine, and each names it its way
+    ring = PolyRing(("U",), QQ)
+    U = ring.var("U")
+
+    def closed(equations):
+        leaf, = close_branch(Branch(ring, equations, ring.one(), {}, [], (), 0))
+        assert isinstance(leaf, Contradiction)
+        return leaf.reason, leaf.detail
+
+    dead = ("no-real-solution", "one unknown U left; candidates: none real")
+    assert closed([U**2 - 1, U - 2]) == dead
+    assert closed([U**3 - 2, U**3 - 3]) == dead
+    # no rule binds U here (U - 2 would be bound linearly), so solve() reaches
+    # the finite split
+    res = solve(tiny_system(ring, [U**3 - 2, U**3 - 3], ring.one()))
+    assert not res.families and not res.residuals
+    assert [(c.path, c.reason, c.detail) for c in res.contradictions] == [
+        ((), "no-real-solution", "no real value for U")
+    ]
+
+
 # -- the shipped algebras ----------------------------------------------------
 
 
