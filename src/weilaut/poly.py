@@ -1,10 +1,11 @@
 """Sparse multivariate polynomials over an exact scalar field.
 
 Terms live in a dict mapping exponent tuples to nonzero coefficients.
-Coefficients are Fraction over the rational field and FieldElement over an
-extension; all arithmetic on them is duck-typed. The only monomial order is
-graded lexicographic, configurable by a precedence permutation of the
-variables.
+A coefficient with a rational value is a Fraction over every field, and one
+with an irrational value is a FieldElement of the ring's extension field
+(scalar.py keeps that one form per value); all arithmetic on them is
+duck-typed. The only monomial order is graded lexicographic, configurable by
+a precedence permutation of the variables.
 
 A polynomial is immutable once built: every operation returns a new one (or
 the operand itself when nothing changes), and no code writes its terms dict
@@ -134,13 +135,10 @@ class PolyRing:
 
 def _coeff_str(c):
     # render a coefficient followed by '*', empty for 1
-    if isinstance(c, FieldElement) and not c.is_rational_value():
-        s = "(%r)" % (c,)
-        return s + "*", False
-    q = c.rational_value() if isinstance(c, FieldElement) else Fraction(c)
-    neg = q < 0
-    q = abs(q)
-    return ("" if q == 1 else str(q) + "*"), neg
+    if isinstance(c, FieldElement):
+        return "(%r)*" % (c,), False
+    q = abs(c)
+    return ("" if q == 1 else str(q) + "*"), c < 0
 
 
 class Polynomial:
@@ -276,7 +274,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        """self^n by n multiplications with self.
+        """self^n: one step for a single term c*m, which gives c^n*m^n;
+        otherwise n multiplications with self.
 
         For sparse polynomials repeated multiplication costs fewer term
         products than repeated squaring (Fateman, 1974): det(M1)^15 on the
@@ -284,6 +283,9 @@ class Polynomial:
         """
         if n < 0:
             raise PolyError("negative power")
+        if len(self.terms) == 1:
+            (exps, c), = self.terms.items()
+            return Polynomial(self.ring, {tuple(k * n for k in exps): c ** n})
         out = self.ring.one()
         for _ in range(n):
             out = out * self
@@ -407,10 +409,11 @@ class Polynomial:
     def primitive(self):
         """Divide by the rational content, sign so the leading coeff is positive.
 
-        Only meaningful when all coefficients are rational; otherwise falls
-        back to monic(). Computed once and remembered; a rational result is
-        marked as its own primitive form. (A monic result is not: its
-        coefficients may be rational with a content other than 1.)
+        Only meaningful when every coefficient is a Fraction; a FieldElement
+        coefficient makes it fall back to monic(). Computed once and
+        remembered; a rational result is marked as its own primitive form.
+        (A monic result is not: its coefficients may be rational with a
+        content other than 1.)
         """
         cached = self._primitive
         if cached is None:
@@ -422,25 +425,19 @@ class Polynomial:
     def _make_primitive(self):
         if not self.terms:
             return self
-        qs = []
-        for c in self.terms.values():
-            if isinstance(c, FieldElement):
-                if not c.is_rational_value():
-                    return self.monic()
-                qs.append(c.rational_value())
-            else:
-                qs.append(c)
+        qs = self.terms.values()
+        if any(isinstance(c, FieldElement) for c in qs):
+            return self.monic()
         num = 0
         den = 1
         for q in qs:
             num = gcd(num, q.numerator)
             den = den * q.denominator // gcd(den, q.denominator)
         _, lc = self.leading()
-        lq = lc.rational_value() if isinstance(lc, FieldElement) else lc
-        if num == den == 1 and lq > 0:
+        if num == den == 1 and lc > 0:
             return self
         content = Fraction(num, den)
-        if lq < 0:
+        if lc < 0:
             content = -content
         out = self.map_coeffs(lambda c: c * (1 / content))
         out._primitive = True

@@ -1,10 +1,17 @@
 """Exact scalar arithmetic: rationals and simple real algebraic extensions.
 
 An ExtensionField is Q[c]/(p(c)) for a monic p with one isolated real root;
-elements are coefficient tuples reduced mod p. Degree 1 (p = x, root 0) is
-plain Q: its coerce() hands back a bare Fraction, so no FieldElement of
-degree 1 is ever built and rational-only pipelines never pay for the
-wrapper. No floating point anywhere.
+elements are coefficient tuples reduced mod p. No floating point anywhere.
+
+A scalar has one form per value. A rational value is a bare Fraction in
+every field, Q itself (degree 1, p = x) included; a FieldElement always has
+an irrational value, so it is never zero and never equal to a Fraction.
+Every FieldElement result passes through one normalizer, _normal, which
+returns a Fraction when the coefficients of c, c^2, ... are zero. This
+relies on p being irreducible, which ExtensionField requires of its caller:
+then an element whose coefficients of c, c^2, ... are not all zero is not
+rational, and a nonzero element is invertible. Callers tell the two forms
+apart by isinstance(x, FieldElement) alone.
 
 This is also the univariate kernel: a univariate polynomial is a coefficient
 list over one of these fields, constant first, and its arithmetic (division,
@@ -143,7 +150,8 @@ class ExtensionField:
     """Q[c]/(minpoly) with a rational interval isolating one real root.
 
     minpoly is a coefficient tuple (constant first), monic. Irreducibility is
-    the caller's contract. Degree 1 is the rational field itself.
+    the caller's contract, and the one form per scalar value relies on it.
+    Degree 1 is the rational field itself.
     """
 
     __slots__ = ("minpoly", "lo", "hi", "gen_name")
@@ -167,20 +175,18 @@ class ExtensionField:
         return len(self.minpoly) - 1
 
     def coerce(self, x):
+        """x as a scalar of this field: a FieldElement of this field itself,
+        anything rational as a Fraction."""
         if isinstance(x, FieldElement):
             if x.field.minpoly != self.minpoly:
                 raise FieldError("element of a different field")
             return x
-        q = Fraction(x)
-        if self.degree == 1:
-            return q
-        return FieldElement(self, (q,) + (Fraction(0),) * (self.degree - 1))
+        return Fraction(x)
 
     def element(self, coeffs):
-        """sum(coeffs[i] * c^i), degree >= 2, from at most degree coeffs."""
-        cs = [Fraction(a) for a in coeffs]
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return FieldElement(self, tuple(cs))
+        """sum(coeffs[i] * c^i) from at most degree rational coeffs: a
+        Fraction when only coeffs[0] is nonzero, else a FieldElement."""
+        return _normal(self, [Fraction(a) for a in coeffs])
 
     def zero(self):
         return self.coerce(0)
@@ -230,7 +236,19 @@ def poly_str(coeffs, var):
 QQ = ExtensionField((0, 1))
 
 
+def _normal(field, cs):
+    """The scalar sum(cs[i] * c^i) of field, from a list of at most degree
+    Fractions: cs[0] (0 for an empty list) when the rest are zero, else a
+    FieldElement with the list padded to degree coefficients."""
+    if not any(cs[1:]):
+        return cs[0] if cs else Fraction(0)
+    return FieldElement(field, tuple(cs) + (Fraction(0),) * (field.degree - len(cs)))
+
+
 class FieldElement:
+    """An element of an ExtensionField with an irrational value; build one
+    through the field (element, gen) or by arithmetic, never directly."""
+
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
@@ -238,31 +256,20 @@ class FieldElement:
         self.coeffs = coeffs
 
     def _lift(self, other):
+        # the coefficient tuple of a scalar of this field, None for another type
         if isinstance(other, FieldElement):
             if other.field.minpoly != self.field.minpoly:
                 raise FieldError("mixed fields")
-            return other
+            return other.coeffs
         if isinstance(other, (int, Fraction)):
-            f = self.field
-            return FieldElement(f, (Fraction(other),) + (Fraction(0),) * (f.degree - 1))
+            return (Fraction(other),) + (Fraction(0),) * (self.field.degree - 1)
         return None
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def is_rational_value(self):
-        return not any(self.coeffs[1:])
-
-    def rational_value(self):
-        if not self.is_rational_value():
-            raise FieldError("not a rational element")
-        return self.coeffs[0]
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return _normal(self.field, [a + b for a, b in zip(self.coeffs, o)])
 
     __radd__ = __add__
 
@@ -273,7 +280,7 @@ class FieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return _normal(self.field, [a - b for a, b in zip(self.coeffs, o)])
 
     def __rsub__(self, other):
         return -self + other
@@ -282,16 +289,12 @@ class FieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        prod = _umul(list(self.coeffs), list(o.coeffs))
-        _, rem = _udivmod(prod, list(self.field.minpoly))
-        rem += [Fraction(0)] * (self.field.degree - len(rem))
-        return FieldElement(self.field, tuple(rem))
+        _, rem = _udivmod(_umul(self.coeffs, o), self.field.minpoly)
+        return _normal(self.field, rem)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self:
-            raise ZeroDivisionError("field element is zero")
         # extended Euclid against the minimal polynomial
         r0, r1 = list(self.field.minpoly), _utrim(list(self.coeffs))
         t0, t1 = [], [Fraction(1)]
@@ -301,15 +304,12 @@ class FieldElement:
             t0, t1 = t1, _uadd(t0, _uscale(_umul(q, t1), -1))
         if len(r0) != 1:
             raise FieldError("element not invertible (reducible minimal polynomial?)")
-        inv = _uscale(t0, 1 / r0[0])
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
-        return FieldElement(self.field, tuple(inv[: self.field.degree]))
+        return _normal(self.field, _uscale(t0, 1 / r0[0]))
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if isinstance(other, (int, Fraction, FieldElement)):
+            return field_div(self, other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -330,11 +330,9 @@ class FieldElement:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.coeffs == o
 
     def __hash__(self):
-        if self.is_rational_value():
-            return hash(self.coeffs[0])
         return hash((self.field.minpoly, self.coeffs))
 
     def __repr__(self):
@@ -351,8 +349,6 @@ def sign_of(a):
     """Sign (-1, 0, +1) of a scalar at the field's isolated real root."""
     if isinstance(a, (int, Fraction)):
         return (a > 0) - (a < 0)
-    if not a:
-        return 0
     field = a.field
     lo, hi = field.lo, field.hi
     mp = list(field.minpoly)
@@ -425,10 +421,11 @@ def kth_root_in_field(field, d, k):
         return None  # not a pure power extension; out of scope
     d0 = -mp[0]
     # target as q*c^j?
-    nz = [i for i, c in enumerate(d.coeffs) if c]
+    cs = d.coeffs if isinstance(d, FieldElement) else (d,)
+    nz = [i for i, c in enumerate(cs) if c]
     if len(nz) != 1:
         return None
-    jd, qd = nz[0], d.coeffs[nz[0]]
+    jd, qd = nz[0], cs[nz[0]]
     for j in range(m):
         # (s*c^j)^k = s^k * d0^(kj div m) * c^(kj mod m)
         if (k * j) % m != jd:

@@ -18,7 +18,7 @@ from functools import cmp_to_key, reduce
 from math import lcm
 from operator import itemgetter
 
-from .scalar import QQ, ExtensionField, FieldElement, eval_rational, field_div
+from .scalar import QQ, ExtensionField, eval_rational, field_div
 from .scalar import _ugcd_monic, kth_root_in_field, sign_of, sturm_count
 from .poly import Polynomial, PolyError, PolyRing, resultant, univariate_coeffs
 
@@ -504,9 +504,9 @@ def _exact_real_roots(coeffs, domain):
             candidates.add(r)
             if m % 2 == 0:
                 candidates.add(-r)
-    if domain is QQ:
-        den = lcm(*(Fraction(c).denominator for c in coeffs))
-        ints = [int(Fraction(c) * den) for c in coeffs]
+    if all(isinstance(c, Fraction) for c in coeffs):
+        den = lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * den) for c in coeffs]
         a0, an = ints[0], ints[-1]
         if a0 and abs(a0) <= ROOT_BOUND and abs(an) <= ROOT_BOUND:
             for dn in _divisors(a0):
@@ -680,7 +680,7 @@ def classify_det1(family):
         c = d.constant_value()
         if c == 1:
             return "{1}"
-        return "{%s}" % (repr(c) if isinstance(c, FieldElement) else str(Fraction(c)),)
+        return "{%s}" % (c,)
     if len(d.terms) != 1:
         return "undetermined"
     (exps, c), = d.terms.items()

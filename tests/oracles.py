@@ -86,7 +86,7 @@ def primitive_oracle(p):
     denominators, taken pairwise; the leading term is the largest
     (total degree, exponents in precedence order).
     """
-    qs = [c.rational_value() if hasattr(c, "rational_value") else Fraction(c) for c in p.terms.values()]
+    qs = [Fraction(c) for c in p.terms.values()]
     num, den = 0, 1
     for q in qs:
         num = gcd(num, q.numerator)
@@ -94,7 +94,7 @@ def primitive_oracle(p):
     prec = p.ring.order.precedence
     lead = max(p.terms, key=lambda e: (sum(e), [e[i] for i in prec]))
     lc = p.terms[lead]
-    lq = lc.rational_value() if hasattr(lc, "rational_value") else Fraction(lc)
+    lq = Fraction(lc)
     content = Fraction(num, den) if lq > 0 else -Fraction(num, den)
     return {e: c / content for e, c in p.terms.items()}
 

@@ -18,7 +18,7 @@ from weilaut.endo import (
     unknown_names,
 )
 from weilaut.linalg import bareiss_determinant
-from weilaut.scalar import QQ, ExtensionField, FieldElement
+from weilaut.scalar import QQ, ExtensionField, FieldError
 from weilaut.poly import PolyError, PolyRing
 from weilaut.solver import solve
 from weilaut.specdata import spec_path
@@ -276,9 +276,15 @@ def test_lift_to_field(quartic):
     lifted = ring.lift(sys_.equations[0])
     assert lifted.ring is ring
     assert repr(lifted) == repr(sys_.equations[0])
-    assert all(isinstance(c, FieldElement) for c in lifted.terms.values())
+    # a rational coefficient stays a Fraction in every field
+    assert lifted.terms == sys_.equations[0].terms
+    assert all(isinstance(c, Fraction) for c in lifted.terms.values())
     with pytest.raises(PolyError):
         ring.lift(PolyRing(("A", "B"), QQ).var("A"))
+    sqrt2 = ExtensionField((-2, 0, 1), (1, 2))
+    other = PolyRing(e.ring.vars, sqrt2)
+    with pytest.raises(FieldError):
+        ring.lift(other.var("A") * sqrt2.gen())
 
 
 def test_one_variable_algebra():

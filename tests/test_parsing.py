@@ -1,4 +1,5 @@
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,14 @@ def test_polynomial_syntax():
     # over an extension field the divisor's constant is a field element
     cbrt4 = PolyRing(("X", "Y"), ExtensionField((-4, 0, 0, 1), (1, 2)))
     assert parse_polynomial("3/2 X", cbrt4) == cbrt4.var("X") * Fraction(3, 2)
+
+
+def test_a_monomial_power_is_one_step():
+    # a one-term base is raised at once, not by a million multiplications
+    start = time.perf_counter()
+    (spec,) = parse_specfile("algebra t { vars: X; order: 2; relations: X^1000000; }")
+    assert time.perf_counter() - start < 1
+    assert [repr(g) for g in spec.relations] == ["X^1000000"]
 
 
 def test_parse_errors_carry_position():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from weilaut.scalar import (ExtensionField, FieldError, QQ, _udivmod, field_div,
-                            kth_root_in_field, rational_kth_root, sign_of)
+from weilaut.scalar import (ExtensionField, FieldElement, FieldError, QQ, _udivmod,
+                            field_div, kth_root_in_field, rational_kth_root, sign_of)
 
 
 def cbrt4_field():
@@ -87,6 +87,55 @@ def test_field_axioms_randomized():
             assert b / a * a == b
             assert field_div(b, a) == b / a
             assert field_div(1, a) * a == F.one()
+
+
+def coeffs_of(x):
+    return list(x.coeffs) if isinstance(x, FieldElement) else [x, 0, 0]
+
+
+def cbrt4_product(a, b):
+    # (sum a_i c^i) (sum b_j c^j) with c^3 = 4, by hand
+    out = [Fraction(0)] * 3
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % 3] += x * y * 4 ** ((i + j) // 3)
+    return out
+
+
+def proportional(a, b):
+    # b = q * a for a rational q; a is not the zero vector
+    k = next(i for i, x in enumerate(a) if x)
+    return all(y * a[k] == x * b[k] for x, y in zip(a, b))
+
+
+def test_one_form_per_value():
+    # a result is a Fraction exactly when its value is rational, that is
+    # when its coefficients of c and c^2 vanish (1, c, c^2 is a basis)
+    F = cbrt4_field()
+    rng = random.Random(14)
+
+    def check(x, rational):
+        assert isinstance(x, (Fraction, FieldElement))
+        assert isinstance(x, Fraction) == rational
+
+    for _ in range(80):
+        a, b = rand_elem(F, rng), rand_elem(F, rng)
+        q = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        for b in (b, a + q, q * a):
+            ca, cb = coeffs_of(a), coeffs_of(b)
+            check(a + b, not any(x + y for x, y in zip(ca[1:], cb[1:])))
+            check(a - b, not any(x - y for x, y in zip(ca[1:], cb[1:])))
+            check(a * b, not any(cbrt4_product(ca, cb)[1:]))
+            if a:
+                check(b / a, proportional(ca, cb))
+                check(field_div(b, a), proportional(ca, cb))
+                check(b * (1 / a), proportional(ca, cb))
+            if isinstance(a, FieldElement):
+                check(a.inverse(), False)
+    c = F.gen()
+    for x in (c ** 3, c * c * c, F.coerce(2), F.element([3]), F.one(), F.zero(),
+              kth_root_in_field(F, 8, 3), c * (1 / c), c - c):
+        assert isinstance(x, Fraction)
 
 
 def test_sign_multiplicative_randomized():

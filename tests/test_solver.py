@@ -379,6 +379,17 @@ def test_close_branch_settles_a_guarded_pair_over_an_extension():
     assert "A = 0 (inconsistent-constants)" in leaf.detail
 
 
+def test_rational_roots_are_found_over_an_extension():
+    # over Q[c] with c^3 = 4 a cubic with rational coefficients still has
+    # its rational roots tried, as over Q
+    field = ExtensionField((-4, 0, 0, 1), (1, 2))
+    ring = PolyRing(("U",), field)
+    U = ring.var("U")
+    res = solve(tiny_system(ring, [U**3 - 6 * U**2 + 11 * U - 6], ring.one()))
+    assert [f.path for f in res.families] == [("U = 1",), ("U = 2",), ("U = 3",)]
+    assert res.residuals == []
+
+
 def test_close_branch_finishes_each_root_child():
     # called directly, close_branch reaches the arms solve() never does: a
     # root child with no equations left becomes a family, and a child that
