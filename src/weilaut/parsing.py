@@ -14,8 +14,6 @@ error its line and column, and one list reader (_split_list): an empty
 item or a trailing separator is an error, and an empty list is allowed.
 """
 
-from fractions import Fraction
-
 from .scalar import QQ, field_div
 from .poly import PolyRing
 from .weil import AlgebraSpec
@@ -171,7 +169,7 @@ class _PolyParser:
             return -self.parse_factor()
         if t[0] == "INT":
             s.next()
-            base = self.ring.const(Fraction(int(t[1])))
+            base = self.ring.const(int(t[1]))
             return self._maybe_power(base)
         if t[0] == "(":
             s.next()

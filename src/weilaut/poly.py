@@ -1,19 +1,25 @@
 """Sparse multivariate polynomials over an exact scalar field.
 
 Terms live in a dict mapping exponent tuples to nonzero coefficients.
-A coefficient with a rational value is a Fraction over every field, and one
-with an irrational value is a FieldElement of the ring's extension field
-(scalar.py keeps that one form per value); all arithmetic on them is
-duck-typed. The only monomial order is graded lexicographic, configurable by
-a precedence permutation of the variables.
+A coefficient with a rational value is an int when it is integral and a
+Fraction otherwise, over every field, and one with an irrational value is a
+FieldElement of the ring's extension field (scalar.py keeps that one form
+per value). The constructor is the one place a coefficient takes its form:
+it rewrites an integral Fraction, which arithmetic on Fractions returns, to
+its numerator, so products of integral polynomials run on machine integers.
+int and Fraction of equal value compare, hash and print alike, so the form
+changes no term dict comparison, hash or rendering. All arithmetic on
+coefficients is duck-typed. The only monomial order is graded
+lexicographic, configurable by a precedence permutation of the variables.
 
 A polynomial is immutable once built: every operation returns a new one (or
 the operand itself when nothing changes), and no code writes its terms dict
 after construction. Every cache on a polynomial relies on this: its
-rendering (__repr__), its variable set (vars_used), its primitive form
-(primitive) and its linear leads (linear_leads: the variables that occur
-only in one term c*var, c a constant) and its leading term (leading) are
-each computed once, on first use, and stay valid for the polynomial's
+rendering (__repr__), its total degree (total_degree, which also answers
+is_constant), its variable set (vars_used), its primitive form
+(primitive), its linear leads (linear_leads: the variables that occur only
+in one term c*var, c a constant) and its leading term (leading) are each
+computed once, on first use, and stay valid for the polynomial's
 lifetime. Because substitute returns the operand itself when a binding does
 not touch it, the facts survive a solver step for every equation the step
 leaves alone.
@@ -29,7 +35,7 @@ kernel; univariate_coeffs is the one bridge to it from a Polynomial.
 
 from fractions import Fraction
 from itertools import compress
-from math import gcd
+from math import gcd, lcm
 from operator import add, itemgetter, le, neg, sub
 
 from .scalar import FieldElement, field_div
@@ -145,12 +151,18 @@ class Polynomial:
     # _primitive is None before primitive() is first called, True when the
     # polynomial is its own primitive form (a flag, not a reference to
     # itself, so no polynomial keeps itself alive), else the primitive form
-    __slots__ = ("ring", "terms", "_repr", "_vars", "_primitive", "_leads", "_leading")
+    __slots__ = ("ring", "terms", "_repr", "_degree", "_vars", "_primitive", "_leads", "_leading")
 
     def __init__(self, ring, terms):
+        # an integral Fraction becomes its numerator (replacing the value of
+        # a key is allowed while iterating)
+        for e, c in terms.items():
+            if c.__class__ is Fraction and c.denominator == 1:
+                terms[e] = c.numerator
         self.ring = ring
         self.terms = terms
         self._repr = None
+        self._degree = None
         self._vars = None
         self._primitive = None
         self._leads = None
@@ -178,7 +190,10 @@ class Polynomial:
         return hash(frozenset(self.terms.items()))
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
+        """The largest degree of a term, -1 for the zero polynomial."""
+        if self._degree is None:
+            self._degree = max(map(sum, self.terms), default=-1)
+        return self._degree
 
     def degree_in(self, var):
         i = self.ring.index[var]
@@ -214,7 +229,7 @@ class Polynomial:
         return c
 
     def is_constant(self):
-        return all(not any(e) for e in self.terms)
+        return self.total_degree() <= 0
 
     def leading(self):
         """(exps, coeff) of the largest term in the ring's monomial order."""
@@ -409,7 +424,7 @@ class Polynomial:
     def primitive(self):
         """Divide by the rational content, sign so the leading coeff is positive.
 
-        Only meaningful when every coefficient is a Fraction; a FieldElement
+        Only meaningful when every coefficient is rational; a FieldElement
         coefficient makes it fall back to monic(). Computed once and
         remembered; a rational result is marked as its own primitive form.
         (A monic result is not: its coefficients may be rational with a
@@ -423,23 +438,23 @@ class Polynomial:
         return self if cached is True else cached
 
     def _make_primitive(self):
+        """The primitive form, built. The rational content is the gcd of the
+        numerators over the lcm of the denominators, read from ints (n/1)
+        and Fractions alike; each coefficient is multiplied by its inverse,
+        taken with field_div."""
         if not self.terms:
             return self
         qs = self.terms.values()
         if any(isinstance(c, FieldElement) for c in qs):
             return self.monic()
-        num = 0
-        den = 1
-        for q in qs:
-            num = gcd(num, q.numerator)
-            den = den * q.denominator // gcd(den, q.denominator)
+        num = gcd(*(q.numerator for q in qs))
+        den = lcm(*(q.denominator for q in qs))
         _, lc = self.leading()
         if num == den == 1 and lc > 0:
             return self
-        content = Fraction(num, den)
-        if lc < 0:
-            content = -content
-        out = self.map_coeffs(lambda c: c * (1 / content))
+        # multiply by 1 / content, content = +-num/den
+        inv = field_div(den, -num if lc < 0 else num)
+        out = self.map_coeffs(lambda c: c * inv)
         out._primitive = True
         return out
 

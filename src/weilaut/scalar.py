@@ -3,15 +3,20 @@
 An ExtensionField is Q[c]/(p(c)) for a monic p with one isolated real root;
 elements are coefficient tuples reduced mod p. No floating point anywhere.
 
-A scalar has one form per value. A rational value is a bare Fraction in
-every field, Q itself (degree 1, p = x) included; a FieldElement always has
-an irrational value, so it is never zero and never equal to a Fraction.
-Every FieldElement result passes through one normalizer, _normal, which
-returns a Fraction when the coefficients of c, c^2, ... are zero. This
-relies on p being irreducible, which ExtensionField requires of its caller:
-then an element whose coefficients of c, c^2, ... are not all zero is not
-rational, and a nonzero element is invertible. Callers tell the two forms
-apart by isinstance(x, FieldElement) alone.
+A scalar has one form per value. A rational value is a bare int when it is
+integral and a Fraction otherwise, in every field, Q itself (degree 1,
+p = x) included; rational() makes that form, and _normal, ExtensionField's
+coerce and field_div return through it. int and Fraction of equal value
+compare and hash equal and print alike, and integral arithmetic runs on
+machine integers. A FieldElement always has an irrational value, so it is
+never zero and never equal to a rational. Every FieldElement result passes
+through one normalizer, _normal, which returns a rational when the
+coefficients of c, c^2, ... are zero. This relies on p being irreducible,
+which ExtensionField requires of its caller: then an element whose
+coefficients of c, c^2, ... are not all zero is not rational, and a nonzero
+element is invertible. Callers tell the two forms apart by
+isinstance(x, FieldElement) alone. Between two ints / gives a float, so
+every division of scalars goes through field_div.
 
 This is also the univariate kernel: a univariate polynomial is a coefficient
 list over one of these fields, constant first, and its arithmetic (division,
@@ -25,6 +30,15 @@ class FieldError(ArithmeticError):
     pass
 
 
+def rational(x):
+    """The one form of a rational value: an int when it is integral, else a
+    Fraction."""
+    if x.__class__ is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _utrim(cs):
     while cs and not cs[-1]:
         cs.pop()
@@ -33,7 +47,7 @@ def _utrim(cs):
 
 def _uadd(a, b):
     n = max(len(a), len(b))
-    out = [Fraction(0)] * n
+    out = [0] * n
     for i, c in enumerate(a):
         out[i] += c
     for i, c in enumerate(b):
@@ -48,7 +62,7 @@ def _uscale(a, s):
 def _umul(a, b):
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -60,7 +74,7 @@ def _umul(a, b):
 def _udivmod(a, b):
     """Quotient and remainder of coefficient lists over a field; b != 0."""
     a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    q = [0] * max(len(a) - len(b) + 1, 0)
     inv = field_div(1, b[-1])
     while len(a) >= len(b) and a:
         k = len(a) - len(b)
@@ -74,7 +88,7 @@ def _udivmod(a, b):
 
 def eval_rational(coeffs, x):
     """Horner evaluation of a coefficient list at a rational or field point."""
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -157,7 +171,7 @@ class ExtensionField:
     __slots__ = ("minpoly", "lo", "hi", "gen_name")
 
     def __init__(self, minpoly, root_interval=(0, 0), gen_name="c"):
-        mp = tuple(Fraction(a) for a in minpoly)
+        mp = tuple(rational(a) for a in minpoly)
         if len(mp) < 2 or mp[-1] != 1:
             raise FieldError("minimal polynomial must be monic of degree >= 1")
         self.minpoly = mp
@@ -176,17 +190,17 @@ class ExtensionField:
 
     def coerce(self, x):
         """x as a scalar of this field: a FieldElement of this field itself,
-        anything rational as a Fraction."""
+        anything rational in its one form (rational)."""
         if isinstance(x, FieldElement):
             if x.field.minpoly != self.minpoly:
                 raise FieldError("element of a different field")
             return x
-        return Fraction(x)
+        return rational(x)
 
     def element(self, coeffs):
         """sum(coeffs[i] * c^i) from at most degree rational coeffs: a
-        Fraction when only coeffs[0] is nonzero, else a FieldElement."""
-        return _normal(self, [Fraction(a) for a in coeffs])
+        rational when only coeffs[0] is nonzero, else a FieldElement."""
+        return _normal(self, [rational(a) for a in coeffs])
 
     def zero(self):
         return self.coerce(0)
@@ -238,11 +252,11 @@ QQ = ExtensionField((0, 1))
 
 def _normal(field, cs):
     """The scalar sum(cs[i] * c^i) of field, from a list of at most degree
-    Fractions: cs[0] (0 for an empty list) when the rest are zero, else a
-    FieldElement with the list padded to degree coefficients."""
+    rationals: rational(cs[0]) (0 for an empty list) when the rest are zero,
+    else a FieldElement with the list padded to degree coefficients."""
     if not any(cs[1:]):
-        return cs[0] if cs else Fraction(0)
-    return FieldElement(field, tuple(cs) + (Fraction(0),) * (field.degree - len(cs)))
+        return rational(cs[0]) if cs else 0
+    return FieldElement(field, tuple(cs) + (0,) * (field.degree - len(cs)))
 
 
 class FieldElement:
@@ -255,21 +269,21 @@ class FieldElement:
         self.field = field
         self.coeffs = coeffs
 
-    def _lift(self, other):
-        # the coefficient tuple of a scalar of this field, None for another type
-        if isinstance(other, FieldElement):
-            if other.field.minpoly != self.field.minpoly:
-                raise FieldError("mixed fields")
-            return other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return (Fraction(other),) + (Fraction(0),) * (self.field.degree - 1)
-        return None
+    def _other(self, other):
+        # the coefficient tuple of another FieldElement of this field
+        if other.field.minpoly != self.field.minpoly:
+            raise FieldError("mixed fields")
+        return other.coeffs
+
+    # a rational operand touches coeffs[0] (+, -) or scales coeffs (*), with
+    # no padded tuple, product or reduction by the minimal polynomial
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _normal(self.field, [a + b for a, b in zip(self.coeffs, o)])
+        if isinstance(other, FieldElement):
+            return _normal(self.field, [a + b for a, b in zip(self.coeffs, self._other(other))])
+        if isinstance(other, (int, Fraction)):
+            return _normal(self.field, [self.coeffs[0] + other, *self.coeffs[1:]])
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -277,34 +291,36 @@ class FieldElement:
         return FieldElement(self.field, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return _normal(self.field, [a - b for a, b in zip(self.coeffs, o)])
+        if isinstance(other, FieldElement):
+            return _normal(self.field, [a - b for a, b in zip(self.coeffs, self._other(other))])
+        if isinstance(other, (int, Fraction)):
+            return _normal(self.field, [self.coeffs[0] - other, *self.coeffs[1:]])
+        return NotImplemented
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        _, rem = _udivmod(_umul(self.coeffs, o), self.field.minpoly)
-        return _normal(self.field, rem)
+        if isinstance(other, FieldElement):
+            _, rem = _udivmod(_umul(self.coeffs, self._other(other)), self.field.minpoly)
+            return _normal(self.field, rem)
+        if isinstance(other, (int, Fraction)):
+            return _normal(self.field, [a * other for a in self.coeffs])
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self):
         # extended Euclid against the minimal polynomial
         r0, r1 = list(self.field.minpoly), _utrim(list(self.coeffs))
-        t0, t1 = [], [Fraction(1)]
+        t0, t1 = [], [1]
         while r1:
             q, r = _udivmod(r0, r1)
             r0, r1 = r1, r
             t0, t1 = t1, _uadd(t0, _uscale(_umul(q, t1), -1))
         if len(r0) != 1:
             raise FieldError("element not invertible (reducible minimal polynomial?)")
-        return _normal(self.field, _uscale(t0, 1 / r0[0]))
+        return _normal(self.field, _uscale(t0, field_div(1, r0[0])))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
@@ -327,10 +343,11 @@ class FieldElement:
         return out
 
     def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o
+        if isinstance(other, FieldElement):
+            return self.coeffs == self._other(other)
+        if isinstance(other, (int, Fraction)):
+            return False  # a FieldElement is irrational
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.field.minpoly, self.coeffs))
@@ -340,9 +357,13 @@ class FieldElement:
 
 
 def field_div(a, b):
-    """a / b for scalars of one field: ints, Fractions or FieldElements."""
-    inv = b.inverse() if isinstance(b, FieldElement) else 1 / Fraction(b)
-    return a * inv
+    """a / b for scalars of one field: ints, Fractions or FieldElements. Two
+    rationals give a rational in its one form, never a float."""
+    if isinstance(b, FieldElement):
+        return a * b.inverse()
+    if isinstance(a, FieldElement):
+        return a * Fraction(1, b)
+    return rational(Fraction(a, b))
 
 
 def sign_of(a):
@@ -373,10 +394,11 @@ def sign_of(a):
 
 
 def rational_kth_root(q, k):
-    """Exact k-th root of a Fraction, or None. Negative q needs odd k."""
+    """Exact k-th root of a rational, in its one form, or None. Negative q
+    needs odd k."""
     q = Fraction(q)
     if q == 0:
-        return Fraction(0)
+        return 0
     neg = q < 0
     if neg:
         if k % 2 == 0:
@@ -386,7 +408,7 @@ def rational_kth_root(q, k):
     rd = _int_kth_root(q.denominator, k)
     if rn is None or rd is None:
         return None
-    r = Fraction(rn, rd)
+    r = rational(Fraction(rn, rd))
     return -r if neg else r
 
 
@@ -431,7 +453,7 @@ def kth_root_in_field(field, d, k):
         if (k * j) % m != jd:
             continue
         base = d0 ** ((k * j) // m)
-        s = rational_kth_root(qd / base, k)
+        s = rational_kth_root(field_div(qd, base), k)
         if s is None:
             continue
         root = field.element([0] * j + [s])

@@ -13,12 +13,11 @@ from split complements, never from the invertibility requirement, which
 instead kills a branch outright when it collapses to zero.
 """
 
-from fractions import Fraction
 from functools import cmp_to_key, reduce
 from math import lcm
 from operator import itemgetter
 
-from .scalar import QQ, ExtensionField, eval_rational, field_div
+from .scalar import QQ, ExtensionField, FieldElement, eval_rational, field_div
 from .scalar import _ugcd_monic, kth_root_in_field, sign_of, sturm_count
 from .poly import Polynomial, PolyError, PolyRing, resultant, univariate_coeffs
 
@@ -140,7 +139,9 @@ def _strip_guarded_content(p, guard_vars):
 
 def _normalized_equations(equations, guard_vars):
     """Nonzero equations with guarded content stripped, made primitive, without
-    repeats, sorted by (total degree, number of terms, rendering)."""
+    repeats, sorted by (total degree, number of terms, rendering). The
+    degree and the rendering are cached on each polynomial, and most
+    equations are the same objects as one step earlier."""
     keyed, seen = [], set()
     for p in equations:
         if p.is_zero():
@@ -290,14 +291,13 @@ def _rule_power_bind(br):
             return _bind(br, later, value, "%s = %r" % (later, value))
         if domain is not QQ or not _is_prime(k):
             continue
-        d = Fraction(d)
         if abs(d) < 1:
-            src, dst, d = later, earlier, 1 / d
+            src, dst, d = later, earlier, field_div(1, d)
         else:
             src, dst = earlier, later
         mag = abs(d)
         field = ExtensionField(
-            tuple([-mag] + [0] * (k - 1) + [1]), (Fraction(0), mag + 1)
+            tuple([-mag] + [0] * (k - 1) + [1]), (0, mag + 1)
         )
         ring = PolyRing(br.ring.vars, field)
         lifted = Branch(
@@ -487,7 +487,7 @@ def _exact_real_roots(coeffs, domain):
     while low < len(coeffs) and not coeffs[low]:
         low += 1
     if low:
-        roots.append(Fraction(0))
+        roots.append(0)
         coeffs = coeffs[low:]
     if len(coeffs) <= 1:
         return roots, len(roots) == total
@@ -504,15 +504,15 @@ def _exact_real_roots(coeffs, domain):
             candidates.add(r)
             if m % 2 == 0:
                 candidates.add(-r)
-    if all(isinstance(c, Fraction) for c in coeffs):
+    if not any(isinstance(c, FieldElement) for c in coeffs):
         den = lcm(*(c.denominator for c in coeffs))
         ints = [int(c * den) for c in coeffs]
         a0, an = ints[0], ints[-1]
         if a0 and abs(a0) <= ROOT_BOUND and abs(an) <= ROOT_BOUND:
             for dn in _divisors(a0):
                 for dd in _divisors(an):
-                    candidates.add(Fraction(dn, dd))
-                    candidates.add(Fraction(-dn, dd))
+                    candidates.add(field_div(dn, dd))
+                    candidates.add(field_div(-dn, dd))
     # the candidates are distinct, and none is 0 once the zero roots are out
     roots.extend(r for r in candidates if not eval_rational(coeffs, r))
     roots.sort(key=cmp_to_key(lambda a, b: sign_of(a - b)))

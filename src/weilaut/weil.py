@@ -95,8 +95,9 @@ class WeilAlgebra:
 def structure_product(algebra, u, v, zero):
     """Coordinates of the product of two coordinate vectors.
 
-    Entries only need +, * against each other and Fractions, so the same
-    routine multiplies numeric elements and vectors of symbolic polynomials.
+    Entries only need +, * against each other and the structure constants
+    (ints, or Fractions when not integral), so the same routine multiplies
+    numeric elements and vectors of symbolic polynomials.
     """
     out = [None] * algebra.dim
     for i, ui in enumerate(u):

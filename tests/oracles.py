@@ -134,7 +134,7 @@ def trial_division_linear_bind(equations, guard_vars):
             q = tuple(a - b for a, b in zip(e, m))
             if min(q) < 0:
                 break
-            value[q] = -v / c
+            value[q] = -Fraction(v) / c
         else:
             return u, value
     return None

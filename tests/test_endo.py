@@ -276,9 +276,13 @@ def test_lift_to_field(quartic):
     lifted = ring.lift(sys_.equations[0])
     assert lifted.ring is ring
     assert repr(lifted) == repr(sys_.equations[0])
-    # a rational coefficient stays a Fraction in every field
+    # a rational coefficient keeps its one form in every field: the
+    # quartic's equation is integral, so every coefficient stays an int,
+    # and a half stays a Fraction
     assert lifted.terms == sys_.equations[0].terms
-    assert all(isinstance(c, Fraction) for c in lifted.terms.values())
+    assert all(type(c) is int for c in lifted.terms.values())
+    half = ring.lift(sys_.equations[0] * Fraction(1, 2))
+    assert all(type(c) is Fraction and c.denominator == 2 for c in half.terms.values())
     with pytest.raises(PolyError):
         ring.lift(PolyRing(("A", "B"), QQ).var("A"))
     sqrt2 = ExtensionField((-2, 0, 1), (1, 2))

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from weilaut.scalar import (ExtensionField, FieldElement, FieldError, QQ, _udivmod,
-                            field_div, kth_root_in_field, rational_kth_root, sign_of)
+                            field_div, kth_root_in_field, rational, rational_kth_root,
+                            sign_of)
 
 
 def cbrt4_field():
@@ -21,10 +22,25 @@ def test_rational_arithmetic():
         field_div(1, cbrt4_field().zero())
 
 
-def test_qq_coerce_is_bare_fraction():
-    assert QQ.coerce(3) == Fraction(3)
-    assert isinstance(QQ.coerce(3), Fraction)
-    assert isinstance(QQ.one(), Fraction)
+def test_field_div_of_ints_is_never_a_float():
+    assert field_div(6, 3) == 2 and type(field_div(6, 3)) is int
+    assert field_div(1, 3) == Fraction(1, 3) and type(field_div(1, 3)) is Fraction
+    assert type(field_div(Fraction(4, 3), Fraction(2, 3))) is int
+    assert type(field_div(-6, Fraction(3, 2))) is int
+    r = kth_root_in_field(QQ, 8, 3)
+    assert r == 2 and type(r) is int
+    assert type(kth_root_in_field(QQ, Fraction(8, 27), 3)) is Fraction
+    assert kth_root_in_field(QQ, 2, 3) is None
+
+
+def test_qq_coerce_gives_the_one_rational_form():
+    # an integral value is a bare int, any other rational a Fraction
+    for x in (3, Fraction(3), Fraction(6, 2), "3"):
+        assert QQ.coerce(x) == 3 and type(QQ.coerce(x)) is int
+    assert type(QQ.one()) is int and type(QQ.zero()) is int
+    assert QQ.coerce(Fraction(1, 3)) == Fraction(1, 3)
+    assert type(QQ.coerce(Fraction(1, 3))) is Fraction
+    assert type(rational(True)) is int
 
 
 def test_generator_cube_is_four():
@@ -114,9 +130,12 @@ def test_one_form_per_value():
     F = cbrt4_field()
     rng = random.Random(14)
 
-    def check(x, rational):
-        assert isinstance(x, (Fraction, FieldElement))
-        assert isinstance(x, Fraction) == rational
+    def check(x, is_rational):
+        # an integral value is an int, any other rational a Fraction
+        if is_rational:
+            assert type(x) is (int if x.denominator == 1 else Fraction)
+        else:
+            assert type(x) is FieldElement
 
     for _ in range(80):
         a, b = rand_elem(F, rng), rand_elem(F, rng)
@@ -134,8 +153,12 @@ def test_one_form_per_value():
                 check(a.inverse(), False)
     c = F.gen()
     for x in (c ** 3, c * c * c, F.coerce(2), F.element([3]), F.one(), F.zero(),
-              kth_root_in_field(F, 8, 3), c * (1 / c), c - c):
-        assert isinstance(x, Fraction)
+              kth_root_in_field(F, 8, 3), c * (1 / c), c - c, c * 0,
+              (c + Fraction(1, 2)) - (c - Fraction(1, 2))):
+        assert type(x) is int
+    # c / c is the int 1, and int / int is a float: divide through field_div
+    for x in (F.coerce(Fraction(2, 3)), F.element([Fraction(1, 3)]), field_div(c / c, 3)):
+        assert type(x) is Fraction
 
 
 def test_sign_multiplicative_randomized():

@@ -21,6 +21,7 @@ from weilaut.solver import (
     ContradictionSignal,
     Residual,
     SolutionFamily,
+    _exact_real_roots,
     _normalized_equations,
     _rule_linear_bind,
     _simplify,
@@ -388,6 +389,17 @@ def test_rational_roots_are_found_over_an_extension():
     res = solve(tiny_system(ring, [U**3 - 6 * U**2 + 11 * U - 6], ring.one()))
     assert [f.path for f in res.families] == [("U = 1",), ("U = 2",), ("U = 3",)]
     assert res.residuals == []
+
+
+def test_rational_roots_of_an_int_coefficient_list():
+    # ints are the form of integral coefficients, so an all-int list must
+    # get its rational-root candidates as a list of Fractions does
+    roots, complete = _exact_real_roots([-6, 11, -6, 1], QQ)
+    assert roots == [1, 2, 3] and complete
+    assert all(type(r) is int for r in roots)
+    roots, complete = _exact_real_roots([0, -1, 0, 4], QQ)
+    assert roots == [Fraction(-1, 2), 0, Fraction(1, 2)] and complete
+    assert [type(r) for r in roots] == [Fraction, int, Fraction]
 
 
 def test_close_branch_finishes_each_root_child():
