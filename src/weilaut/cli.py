@@ -130,11 +130,11 @@ def cmd_basis(args):
 def cmd_table(args):
     algebra = build_algebra(load_spec(args))
     names = [compact(m) for m in algebra.basis_names()]
-    for i, row in enumerate(algebra.structure_pairs):
+    for i, row in enumerate(map(dict, algebra.structure_pairs)):
         for j in range(i, algebra.dim):
             print(
                 "%s * %s = %s"
-                % (names[i], names[j], _format_combination(row[j], names))
+                % (names[i], names[j], _format_combination(row.get(j, ()), names))
             )
     return 0
 

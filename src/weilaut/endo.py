@@ -352,11 +352,10 @@ def numeric_instantiate(endo, values):
         scale.append(scale[-1] * (q * d))
 
     failing = []
-    table = integral.structure_pairs
-    for i in range(alg.dim):
+    for i, row in enumerate(map(dict, integral.structure_pairs)):
         for j in range(i, alg.dim):
             # Q*(Q*D)^m times each side of phi(e_i * e_j) = phi(e_i) * phi(e_j)
-            pairs = table[i][j]
+            pairs = row.get(j, ())
             m = max([degree[i] + degree[j]] + [degree[k] for k, _ in pairs])
             lhs = [0] * alg.dim
             for k, c in pairs:
@@ -365,7 +364,10 @@ def numeric_instantiate(endo, values):
             rhs = structure_product(integral, rows[i], rows[j], 0)
             f = scale[m - degree[i] - degree[j]]
             if lhs != (rhs if f == 1 else [f * x for x in rhs]):
-                failing.append((alg.ring.monomial_str(alg.basis[i]), alg.ring.monomial_str(alg.basis[j])))
+                failing.append((i, j))
+    if failing:
+        names = alg.basis_names()
+        failing = [(names[i], names[j]) for i, j in failing]
     out = NumericEndo.__new__(NumericEndo)
     out.algebra = alg
     out._rows = rows

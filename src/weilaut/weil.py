@@ -5,8 +5,11 @@ is Q[vars]/(relations + all monomials of degree r+1). The basis is the
 ascending list of standard monomials, 1 first. An element is its list of
 coordinates in that basis; products are cached as structure constants, so
 one multiplication, structure_product, drives both numeric elements and
-symbolic endomorphism images. integral_copy rescales the constants to
-integers for the numeric check, which then never leaves Python ints.
+symbolic endomorphism images. The table is sparse: structure_pairs[i] holds
+a (j, pairs) entry, in increasing j, for each nonzero product e_i * e_j
+only, pairs being its (k, coefficient) terms. integral_copy rescales the
+constants to integers for the numeric check, which then never leaves
+Python ints.
 """
 
 from fractions import Fraction
@@ -103,12 +106,9 @@ def structure_product(algebra, u, v, zero):
     for i, ui in enumerate(u):
         if not ui:
             continue
-        row = algebra.structure_pairs[i]
-        for j, vj in enumerate(v):
+        for j, pairs in algebra.structure_pairs[i]:
+            vj = v[j]
             if not vj:
-                continue
-            pairs = row[j]
-            if not pairs:
                 continue
             uv = ui * vj
             for k, c in pairs:
@@ -127,12 +127,12 @@ def integral_copy(algebra):
     """
     if algebra._integral is None:
         table = algebra.structure_pairs
-        q = lcm(*(c.denominator for row in table for pairs in row for _, c in pairs))
+        q = lcm(*(c.denominator for row in table for _, pairs in row for _, c in pairs))
         scaled = WeilAlgebra.__new__(WeilAlgebra)
         for name in WeilAlgebra.__slots__:
             setattr(scaled, name, getattr(algebra, name))
         scaled.structure_pairs = tuple(
-            tuple(tuple((k, c.numerator * (q // c.denominator)) for k, c in pairs) for pairs in row)
+            tuple((j, tuple((k, c.numerator * (q // c.denominator)) for k, c in pairs)) for j, pairs in row)
             for row in table
         )
         algebra._integral = (q, scaled)
@@ -154,14 +154,15 @@ def build_algebra(spec):
     alg.dim = len(basis)
     alg.basis_index = {e: i for i, e in enumerate(basis)}
     table = nf_table(gb)
-    zero = ring.zero()
     pairs_table = []
     for ei in basis:
         prow = []
-        for ej in basis:
-            # a product of degree > r is not tabulated: it lies in the ideal
-            nf = table.get(tuple(a + b for a, b in zip(ei, ej)), zero)
-            prow.append(tuple(sorted((alg.basis_index[e], c) for e, c in nf.terms.items())))
+        for j, ej in enumerate(basis):
+            # a product of degree > r is not tabulated: it lies in the ideal;
+            # a zero product gets no entry in the row
+            nf = table.get(tuple(a + b for a, b in zip(ei, ej)))
+            if nf:
+                prow.append((j, tuple(sorted((alg.basis_index[e], c) for e, c in nf.terms.items()))))
         pairs_table.append(tuple(prow))
     alg.structure_pairs = tuple(pairs_table)
     alg.nil_indices = tuple(range(1, alg.dim))

@@ -64,7 +64,7 @@ def test_every_coefficient_has_its_one_form(spec):
     analysis = analyze(spec)
     algebra = analysis.algebra
     for row in algebra.structure_pairs:
-        for pairs in row:
+        for _, pairs in row:
             for _, c in pairs:
                 check_scalar(c, "structure constant")
     check_polys(analysis.system.equations, "equation")

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from weilaut.weil import AlgebraSpec, WeilError, build_algebra, structure_product
+from weilaut.weil import AlgebraSpec, WeilError, build_algebra, integral_copy, structure_product
 from weilaut.poly import monomials
 from weilaut.quotient import nf_table, normal_form
 from weilaut.parsing import parse_specfile
 import os
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "weilaut", "specs")
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "bench", "corpus.alg")
 
 
 def load(name):
@@ -116,6 +117,41 @@ def test_multiply_matches_normal_form_random():
             assert lifted == want
 
 
+def corpus_and_scaled():
+    with open(CORPUS) as fh:
+        specs = parse_specfile(fh.read())
+    specs += parse_specfile(
+        "algebra scaled { vars: X, Y; order: 2; relations: X^2 - 2*Y^2, X*Y + Y^2/3; }"
+    )
+    return specs + [s.with_precedence(tuple(reversed(s.precedence or s.variables))) for s in specs]
+
+
+@pytest.mark.parametrize(
+    "spec", corpus_and_scaled(), ids=lambda s: "%s-%s" % (s.name, "".join(s.precedence or s.variables))
+)
+def test_product_is_the_normal_form_of_the_polynomial_product(spec):
+    # the oracle multiplies polynomials and reduces by the Groebner basis,
+    # never reading the structure table
+    alg = build_algebra(spec)
+    ring = alg.ring
+    q, scaled = integral_copy(alg)
+    rng = random.Random(spec.name)
+
+    def vector(value):
+        return [value() if rng.random() < 0.7 else 0 for _ in range(alg.dim)]
+
+    for _ in range(15):
+        a, b = (vector(lambda: Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))) for _ in range(2))
+        want = normal_form(ring.poly(dict(zip(alg.basis, a))) * ring.poly(dict(zip(alg.basis, b))), alg.gb)
+        got = structure_product(alg, a, b, 0)
+        assert ring.poly(dict(zip(alg.basis, got))) == want
+        # the integral copy multiplies in ints, Q times the algebra's product
+        a, b = (vector(lambda: rng.randrange(-9, 10)) for _ in range(2))
+        got = structure_product(scaled, a, b, 0)
+        assert all(type(x) is int for x in got)
+        assert got == [q * x for x in structure_product(alg, a, b, 0)]
+
+
 def test_nil_power_dims_decrease():
     for alg in (tangent2(), quartic(), sextic()):
         dims = [len(s) for s in alg.nil_power_indices]
@@ -166,7 +202,12 @@ def test_structure_pairs_are_direct_normal_forms(spec):
     # the table stops at degree r; every longer product is zero in the quotient
     assert sorted(nf_table(alg.gb)) == sorted(monomials(len(ring.vars), 0, r))
     for i, ei in enumerate(alg.basis):
+        stored = alg.structure_pairs[i]
+        # only nonzero products are stored, in increasing j
+        assert all(pairs for _, pairs in stored)
+        assert all(j1 < j2 for (j1, _), (j2, _) in zip(stored, stored[1:]))
+        row = dict(stored)
         for j, ej in enumerate(alg.basis):
             nf = normal_form(ring.monomial(ei) * ring.monomial(ej), alg.gb)
             want = tuple(sorted((alg.basis_index[e], c) for e, c in nf.terms.items()))
-            assert alg.structure_pairs[i][j] == want
+            assert row.get(j, ()) == want
