@@ -9,9 +9,10 @@ import random
 import sys
 from fractions import Fraction
 
-from .endo import EndoError, generic_endo, numeric_instantiate, resolve_bindings
+from .endo import EndoError, constraint_system, generic_endo, numeric_instantiate, resolve_bindings
 from .parsing import ParseError, parse_bindings, parse_specfile
 from .poly import PolyError
+from .published import reference_for
 from .report import (
     analyze,
     build_report,
@@ -23,8 +24,6 @@ from .report import (
 from .scalar import FieldError
 from .solver import BRANCH_BUDGET, BUDGET_EXHAUSTED, SolverError
 from .weil import WeilError, build_algebra
-
-COMMANDS = ("basis", "table", "constraints", "solve", "verify", "report")
 
 
 class UsageError(Exception):
@@ -43,16 +42,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-    helps = {
-        "basis": "print the standard-monomial basis and dimension",
-        "table": "print the multiplication table of the basis",
-        "constraints": "print the automorphism constraint system",
-        "solve": "case-split the constraint system into families",
-        "verify": "sample a bindings file against the numeric product check",
-        "report": "full report: constraints, families, reference comparison",
-    }
-    for name in COMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
+    for name, (_, text) in COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
         sp.add_argument("specfile", help="algebra spec file")
         if name == "verify":
             sp.add_argument("bindingsfile", help="bindings file to verify")
@@ -141,11 +132,7 @@ def cmd_table(args):
 
 def cmd_constraints(args):
     spec = load_spec(args)
-    endo = generic_endo(build_algebra(spec))
-    from .endo import constraint_system
-    from .published import reference_for
-
-    system = constraint_system(endo)
+    system = constraint_system(generic_endo(build_algebra(spec)))
     for (gen, cls), eq in zip(system.provenance, system.equations):
         print("[%s -> %s] %r = 0" % (gen, cls, eq.primitive()))
     print("nondegenerate: %r != 0" % system.nondegeneracy[0])
@@ -233,24 +220,23 @@ def cmd_verify(args):
     return 0 if failures == 0 else 3
 
 
+# each subcommand's handler and help line, in the order help lists them
+COMMANDS = {
+    "basis": (cmd_basis, "print the standard-monomial basis and dimension"),
+    "table": (cmd_table, "print the multiplication table of the basis"),
+    "constraints": (cmd_constraints, "print the automorphism constraint system"),
+    "solve": (cmd_solve, "case-split the constraint system into families"),
+    "verify": (cmd_verify, "sample a bindings file against the numeric product check"),
+    "report": (cmd_report, "full report: constraints, families, reference comparison"),
+}
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        handler = {
-            "basis": cmd_basis,
-            "table": cmd_table,
-            "constraints": cmd_constraints,
-            "solve": cmd_solve,
-            "verify": cmd_verify,
-            "report": cmd_report,
-        }[args.command]
-        return handler(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (ParseError, WeilError, PolyError, FieldError, EndoError, SolverError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return COMMANDS[args.command][0](args)
+    except (
+        UsageError, ParseError, WeilError, PolyError, FieldError, EndoError, SolverError, OSError
+    ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

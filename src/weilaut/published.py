@@ -21,7 +21,6 @@ TANGENT2 = {
     "system_printed": "A*D = 0; B*E = 0",
     "equations_printed": ["A*D", "B*E"],
     "nondegenerate": "A*E - B*D",
-    "variants": [["B", "D"], ["A", "E"], ["D", "E"], ["A", "B"]],
     "families": [
         {
             "bindings": {"B": "0", "D": "0"},

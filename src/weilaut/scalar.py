@@ -213,19 +213,6 @@ class ExtensionField:
             raise FieldError("rational field has no generator")
         return self.element([0, 1])
 
-    def __eq__(self, other):
-        return (isinstance(other, ExtensionField)
-                and self.minpoly == other.minpoly)
-
-    def __hash__(self):
-        return hash(self.minpoly)
-
-    def __repr__(self):
-        if self.degree == 1:
-            return "QQ"
-        terms = poly_str(self.minpoly, self.gen_name)
-        return "QQ[%s]/(%s)" % (self.gen_name, terms)
-
 
 def poly_str(coeffs, var):
     """Render a univariate coefficient list, highest power first."""

@@ -4,13 +4,17 @@ A branch carries the residual equations, the accumulated bindings, and the
 nonzero hypotheses (guards) introduced by case splits. Deterministic rules
 shrink a branch (substituting forced bindings); splitting rules fan out into
 complementary subcases, each described by a spec (path atoms, guards,
-binding) that _child turns into a branch. The finite split and
-close_branch, which finishes small residual systems, take the real values of
-one unknown from one routine, _real_values: it eliminates a second unknown
-by a resultant and finds the real roots of the gcd exactly, on the
-coefficient lists of scalar.py's univariate kernel. Guards arise only
-from split complements, never from the invertibility requirement, which
-instead kills a branch outright when it collapses to zero.
+binding) that _child turns into a branch. A branch's guards are one dict
+keyed by rendering, so a repeated hypothesis is recorded once. The finite
+split and close_branch, which finishes small residual systems, take the real
+values of one unknown from one routine, _real_values: it eliminates a second
+unknown by a resultant and finds the real roots of the gcd exactly, on the
+coefficient lists of scalar.py's univariate kernel. Inside solve(),
+close_branch only labels a residual, since the finite split has just failed
+on every plan it could finish; its finishing serves direct callers, such as
+acceptance criterion 3's beta branch. Guards arise only from split
+complements, never from the invertibility requirement, which instead kills a
+branch outright when it collapses to zero.
 """
 
 from functools import cmp_to_key, reduce
@@ -50,17 +54,18 @@ class Branch:
         self.equations = list(equations)
         self.nondeg = nondeg
         self.bindings = dict(bindings)
-        self.guards = list(guards)
+        # the hypotheses g != 0, keyed by rendering, in the order they arose
+        self.guards = {repr(g): g for g in guards}
         self.path = tuple(path)
         self.splits = splits
 
     def guard_vars(self):
-        return _split_guards(self.guards)[0]
+        return _split_guards(self.guards.values())[0]
 
     def copy(self):
-        return Branch(
-            self.ring, self.equations, self.nondeg, self.bindings, self.guards, self.path, self.splits
-        )
+        out = Branch(self.ring, self.equations, self.nondeg, self.bindings, (), self.path, self.splits)
+        out.guards = dict(self.guards)
+        return out
 
 
 def _split_guards(guards):
@@ -142,7 +147,7 @@ def _normalized_equations(equations, guard_vars):
     repeats, sorted by (total degree, number of terms, rendering). The
     degree and the rendering are cached on each polynomial, and most
     equations are the same objects as one step earlier."""
-    keyed, seen = [], set()
+    kept = {}
     for p in equations:
         if p.is_zero():
             continue
@@ -153,16 +158,15 @@ def _normalized_equations(equations, guard_vars):
             )
         q = q.primitive()
         r = repr(q)
-        if r not in seen:
-            seen.add(r)
-            keyed.append(((q.total_degree(), len(q.terms), r), q))
-    # equal renderings are deduplicated, so no two keys tie
-    keyed.sort(key=itemgetter(0))
-    return [q for _, q in keyed]
+        if r not in kept:
+            kept[r] = ((q.total_degree(), len(q.terms), r), q)
+    # equal renderings are kept once, so no two keys tie
+    return [q for _, q in sorted(kept.values(), key=itemgetter(0))]
 
 
-def _push_guard(g, guards, seen):
-    """Record the hypothesis g != 0, factored into variables where possible."""
+def _push_guard(g, guards):
+    """Record the hypothesis g != 0 in guards, a dict keyed by rendering,
+    factored into variables where possible."""
     if g.is_zero():
         raise ContradictionSignal(INCONSISTENT, "a nonzero hypothesis vanished")
     if g.is_constant():
@@ -171,19 +175,12 @@ def _push_guard(g, guards, seen):
     for i, e in enumerate(ce):
         if e:
             v = g.ring.var(g.ring.vars[i])
-            r = repr(v)
-            if r not in seen:
-                seen.add(r)
-                guards.append(v)
+            guards.setdefault(repr(v), v)
     if any(ce):
         g = g.divide_monomial(ce)
     g = g.primitive()
-    if g.is_constant():
-        return
-    r = repr(g)
-    if r not in seen:
-        seen.add(r)
-        guards.append(g)
+    if not g.is_constant():
+        guards.setdefault(repr(g), g)
 
 
 def _bind(br, name, value, *atoms):
@@ -200,17 +197,13 @@ def _bind(br, name, value, *atoms):
     out.bindings[name] = value
     out.equations = [p.substitute(sub) for p in br.equations]
     out.nondeg = br.nondeg.substitute(sub)
-    out.guards = []
-    seen = set()
-    for g in br.guards:
+    out.guards = {}
+    for g in br.guards.values():
         h = g.substitute(sub)
-        if h is not g:
-            _push_guard(h, out.guards, seen)
-            continue
-        r = repr(g)
-        if r not in seen:
-            seen.add(r)
-            out.guards.append(g)
+        if h is g:
+            out.guards.setdefault(repr(g), g)
+        else:
+            _push_guard(h, out.guards)
     return out
 
 
@@ -220,15 +213,13 @@ def _child(br, path, guards, bind):
     child = br.copy()
     child.splits += 1
     child.path = path
-    if guards:
-        seen = {repr(g) for g in child.guards}
-        for g in guards:
-            _push_guard(g, child.guards, seen)
+    for g in guards:
+        _push_guard(g, child.guards)
     return child if bind is None else _bind(child, *bind)
 
 
 def _residual(br, reason):
-    return Residual(br.path, reason, br.equations, br.bindings, br.guards)
+    return Residual(br.path, reason, br.equations, br.bindings, br.guards.values())
 
 
 def _invertible(c, guard_vars):
@@ -305,7 +296,7 @@ def _rule_power_bind(br):
             [ring.lift(p) for p in br.equations],
             ring.lift(br.nondeg),
             {k: ring.lift(v) for k, v in br.bindings.items()},
-            [ring.lift(g) for g in br.guards],
+            [ring.lift(g) for g in br.guards.values()],
             br.path,
             br.splits,
         )
@@ -422,25 +413,6 @@ def _split_quadratic(br):
     return None
 
 
-def _eliminate(equations, u, v):
-    """The pool of equations in u alone; v, unless None, is eliminated by one resultant.
-
-    Returns (pool, None), or (None, reason) when v cannot be eliminated.
-    """
-    if v is None:
-        return equations, None
-    with_v = [p for p in equations if p.degree_in(v) > 0]
-    without_v = [p for p in equations if p.degree_in(v) == 0]
-    if len(with_v) >= 2:
-        res = resultant(with_v[0], with_v[1], v)
-        if res.is_zero():
-            return None, "resultant in %s vanished" % v
-        return without_v + [res], None
-    if without_v:
-        return without_v, None
-    return None, "underdetermined pair in %s, %s" % (u, v)
-
-
 def _split_finite(br):
     """Split on the finitely many values a subsystem allows for one unknown."""
     eqvars = [(p, p.vars_used()) for p in br.equations]
@@ -522,13 +494,21 @@ def _exact_real_roots(coeffs, domain):
 def _real_values(ring, equations, u, v):
     """The real values of u that equations in u and v allow.
 
-    v, unless None, is eliminated by one resultant (_eliminate); the real
-    roots of the gcd of the equations left in u are then found exactly.
+    v, unless None, is eliminated by one resultant; the real roots of the
+    gcd of the equations left in u are then found exactly.
     Returns (values, None), the values sorted and complete, or (None, reason).
     """
-    pool, reason = _eliminate(equations, u, v)
-    if reason:
-        return None, reason
+    pool = equations
+    if v is not None:
+        pool = [p for p in equations if p.degree_in(v) == 0]
+        with_v = [p for p in equations if p.degree_in(v) > 0]
+        if len(with_v) >= 2:
+            res = resultant(with_v[0], with_v[1], v)
+            if res.is_zero():
+                return None, "resultant in %s vanished" % v
+            pool.append(res)
+        elif not pool:
+            return None, "underdetermined pair in %s, %s" % (u, v)
     g = reduce(_ugcd_monic, (univariate_coeffs(p, u) for p in pool))
     values, complete = _exact_real_roots(g, ring.domain)
     if not complete:
@@ -545,7 +525,8 @@ def close_branch(br):
     Takes the real values of the earlier unknown u from _real_values (which
     eliminates the later unknown v, if any), and finishes each value's child
     the same way; a child has at most v left, so this recurses at most once.
-    Returns a list of leaves: families, contradictions, residuals.
+    Returns a list of leaves: families, contradictions, residuals. Called
+    from solve(), after _split_finite failed, it returns one Residual.
     """
     if not br.equations:
         return [make_family(br)]
@@ -556,10 +537,6 @@ def close_branch(br):
     if len(vs) > 2:
         return [_residual(br, "no finishing rule for %d unknowns" % len(vs))]
     u, v = vs[0], (vs[1] if len(vs) == 2 else None)
-    if v is None:
-        how = "one unknown %s left" % u
-    else:
-        how = "eliminated %s by resultant, then solved for %s" % (v, u)
     values, reason = _real_values(br.ring, br.equations, u, v)
     if reason:
         return [_residual(br, reason)]
@@ -572,12 +549,13 @@ def close_branch(br):
         except ContradictionSignal as c:
             rejected.append("%s (%s)" % (atom, c.reason))
             continue
-        if child.equations:
-            leaves.extend(close_branch(child))
-        else:
-            leaves.append(make_family(child))
+        leaves.extend(close_branch(child))
     if leaves:
         return leaves
+    if v is None:
+        how = "one unknown %s left" % u
+    else:
+        how = "eliminated %s by resultant, then solved for %s" % (v, u)
     detail = "%s; candidates: %s" % (how, "; ".join(rejected) if rejected else "none real")
     return [Contradiction(br.path, NO_REAL_SOLUTION, detail)]
 
@@ -586,14 +564,13 @@ def make_family(br):
     nd = br.nondeg
     if nd.is_zero():
         raise ContradictionSignal(NONDEG_VANISHED, "family without invertible members")
-    conditions = []
-    seen = set()
-    pool = list(br.guards)
+    conditions = {}
+    pool = list(br.guards.values())
     if not nd.is_constant():
         pool.append(nd)
     for g in pool:
-        _push_guard(g, conditions, seen)
-    nonzero, kept = _split_guards(conditions)
+        _push_guard(g, conditions)
+    nonzero, kept = _split_guards(conditions.values())
     free = [v for v in br.ring.vars if v not in br.bindings]
     return SolutionFamily(
         br.path,
@@ -610,17 +587,7 @@ def solve(system, max_depth=24, branch_budget=BRANCH_BUDGET):
     """Split the constraint system into families and dead branches."""
     if len(system.nondegeneracy) != 1:
         raise SolverError("expected a single invertibility polynomial")
-    ring = system.ring
-    root = Branch(
-        ring,
-        [p for p in system.equations],
-        system.nondegeneracy[0],
-        {},
-        [],
-        (),
-        0,
-    )
-    queue = [root]
+    queue = [Branch(system.ring, system.equations, system.nondegeneracy[0], {}, (), (), 0)]
     families, contradictions, residuals = [], [], []
     spent = 0
     while queue:
@@ -642,13 +609,9 @@ def solve(system, max_depth=24, branch_budget=BRANCH_BUDGET):
             contradictions.append(Contradiction(br.path, c.reason, c.detail))
             continue
         if specs is None:
-            for leaf in close_branch(br):
-                if isinstance(leaf, SolutionFamily):
-                    families.append(leaf)
-                elif isinstance(leaf, Contradiction):
-                    contradictions.append(leaf)
-                else:
-                    residuals.append(leaf)
+            # _split_finite has just tried every plan close_branch could
+            # finish, so here close_branch only labels one residual
+            residuals.extend(close_branch(br))
             continue
         for atoms, guards, bind in specs:
             path = br.path + atoms

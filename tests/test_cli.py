@@ -286,3 +286,33 @@ def test_solve_the_trivial_weil_algebra(tmp_path, capsys):
     ]
     assert rep["components"] == 1
     assert rep["det1_image"] == "{1}"
+
+
+FIELD = "algebra f { vars: X, Y; order: 3; relations: X*Y, X^3 - 2*Y^3; }\n"
+
+
+def test_solve_text_of_a_family_over_an_extension_field(tmp_path, capsys):
+    # X^3 = 2*Y^3 adjoins c with c^3 = 4 to reach the second family
+    spec = tmp_path / "f.alg"
+    spec.write_text(FIELD)
+    assert main(["solve", str(spec)]) == 0
+    assert capsys.readouterr().out == (
+        "f: dim 6, 10 unknowns\n"
+        "families: 2\n"
+        "  family 1: A = 0; F = B; G = 0; I = -1/2*C\n"
+        "    free: B, C, D, E, H, J\n"
+        "    nonzero: B\n"
+        "    det1 = B^2, image (0,inf)\n"
+        "  family 2: A = (c)*G; B = 0; F = 0; H = (-1/2*c^2)*D\n"
+        "    free: C, D, E, G, I, J\n"
+        "    nonzero: G\n"
+        "    det1 = (-c)*G^2, image (-inf,0)\n"
+        "    field: Q[c], minpoly coefficients -4, 0, 0, 1\n"
+        "  family 1 determinants: det M = B^9, det M1 = B^2\n"
+        "  family 2 determinants: det M = 8*G^9, det M1 = (-c)*G^2\n"
+        "contradictions: 2\n"
+        "  A = 0 ; B = 0 (nondegeneracy-vanished)\n"
+        "  A != 0 ; F = 0 ; B != 0 ; G = 0 (nondegeneracy-vanished)\n"
+        "components: 4\n"
+        "det1 image: R\\{0}\n"
+    )

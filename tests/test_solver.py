@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from weilaut import solver
 from weilaut.parsing import parse_specfile
+from weilaut.report import analyze
 from weilaut.weil import build_algebra
 from weilaut.endo import (
     ConstraintSystem,
@@ -446,6 +448,41 @@ def test_finite_split_and_close_branch_share_the_real_values():
     assert [(c.path, c.reason, c.detail) for c in res.contradictions] == [
         ((), "no-real-solution", "no real value for U")
     ]
+
+
+def test_close_branch_only_labels_a_residual_inside_solve(monkeypatch):
+    # solve() calls close_branch only after _split_finite has tried every
+    # plan close_branch could finish, so each call returns one Residual
+    calls = []
+    finish = solver.close_branch
+
+    def recorded(br):
+        leaves = finish(br)
+        calls.append(leaves)
+        return leaves
+
+    monkeypatch.setattr(solver, "close_branch", recorded)
+    with open(CORPUS) as fh:
+        specs = parse_specfile(fh.read())
+    for name in ("tangent2", "quartic", "sextic"):
+        with open(spec_path(name)) as fh:
+            specs += parse_specfile(fh.read())
+    for spec in specs:
+        analyze(spec)
+        analyze(spec.with_precedence(tuple(reversed(spec.precedence or spec.variables))))
+    ring = PolyRing(("U", "V"), QQ)
+    U, V = ring.var("U"), ring.var("V")
+    cubic = U**3 - 6 * U**2 + 11 * U - 6
+    # the finite split finishes the last two, so close_branch never sees them
+    for equations in ([U**3 - 4], [U * V - 1], [cubic], [cubic, U * V - 1]):
+        solve(tiny_system(ring, equations, ring.one()))
+    assert calls
+    assert all(len(leaves) == 1 and isinstance(leaves[0], Residual) for leaves in calls)
+    assert {leaves[0].reason for leaves in calls} >= {
+        "no finishing rule for 8 unknowns",
+        "could not enumerate the roots of U^3 - 4",
+        "underdetermined pair in U, V",
+    }
 
 
 # -- the shipped algebras ----------------------------------------------------
