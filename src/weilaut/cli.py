@@ -22,7 +22,7 @@ from .report import (
     render_solve_text,
 )
 from .scalar import FieldError
-from .solver import BRANCH_BUDGET, BUDGET_EXHAUSTED, SolverError
+from .solver import BRANCH_BUDGET, BUDGET_EXHAUSTED, MAX_DEPTH, SolverError
 from .weil import WeilError, build_algebra
 
 
@@ -42,7 +42,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-    for name, (_, text) in COMMANDS.items():
+    for name, (_, text, flags) in COMMANDS.items():
         sp = sub.add_parser(name, help=text)
         sp.add_argument("specfile", help="algebra spec file")
         if name == "verify":
@@ -57,22 +57,8 @@ def build_parser():
             metavar="ORDER",
             help="override the variable precedence, e.g. \"Y>X\"",
         )
-        sp.add_argument(
-            "--json",
-            metavar="PATH",
-            help="write the canonical JSON report to PATH (solve/report)",
-        )
-        sp.add_argument("--seed", type=int, default=0, help="sampling seed")
-        sp.add_argument(
-            "--samples", type=int, default=20, help="number of verify samples"
-        )
-        sp.add_argument(
-            "--max-branch-depth",
-            type=int,
-            default=24,
-            dest="max_branch_depth",
-            help="solver split depth limit",
-        )
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
     return parser
 
 
@@ -220,14 +206,29 @@ def cmd_verify(args):
     return 0 if failures == 0 else 3
 
 
-# each subcommand's handler and help line, in the order help lists them
+# the flags that only some subcommands read; any other command rejects them
+FLAGS = {
+    "--json": dict(metavar="PATH", help="write the canonical JSON report to PATH"),
+    "--seed": dict(type=int, default=0, help="sampling seed"),
+    "--samples": dict(type=int, default=20, help="number of verify samples"),
+    "--max-branch-depth": dict(
+        type=int, default=MAX_DEPTH, dest="max_branch_depth", help="solver split depth limit"
+    ),
+}
+SOLVE_FLAGS = ("--json", "--seed", "--max-branch-depth")
+
+# each subcommand's handler, help line and FLAGS, in the order help lists them
 COMMANDS = {
-    "basis": (cmd_basis, "print the standard-monomial basis and dimension"),
-    "table": (cmd_table, "print the multiplication table of the basis"),
-    "constraints": (cmd_constraints, "print the automorphism constraint system"),
-    "solve": (cmd_solve, "case-split the constraint system into families"),
-    "verify": (cmd_verify, "sample a bindings file against the numeric product check"),
-    "report": (cmd_report, "full report: constraints, families, reference comparison"),
+    "basis": (cmd_basis, "print the standard-monomial basis and dimension", ()),
+    "table": (cmd_table, "print the multiplication table of the basis", ()),
+    "constraints": (cmd_constraints, "print the automorphism constraint system", ()),
+    "solve": (cmd_solve, "case-split the constraint system into families", SOLVE_FLAGS),
+    "verify": (
+        cmd_verify,
+        "sample a bindings file against the numeric product check",
+        ("--seed", "--samples"),
+    ),
+    "report": (cmd_report, "full report: constraints, families, reference comparison", SOLVE_FLAGS),
 }
 
 

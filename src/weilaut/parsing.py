@@ -15,7 +15,7 @@ item or a trailing separator is an error, and an empty list is allowed.
 """
 
 from .scalar import QQ, field_div
-from .poly import PolyRing
+from .poly import PolyRing, Polynomial
 from .weil import AlgebraSpec
 
 _PUNCT = "{}();:,+-*^/>="
@@ -122,9 +122,14 @@ def _split_name(name, ring, line, col):
 
 
 class _PolyParser:
-    def __init__(self, stream, ring):
+    """order, when given, is the algebra's truncation order: a power of a
+    base with several terms then drops its terms of degree above it, which
+    lie in the ideal, as it multiplies."""
+
+    def __init__(self, stream, ring, order=None):
         self.s = stream
         self.ring = ring
+        self.order = order
 
     def parse_expr(self):
         s = self.s
@@ -188,21 +193,36 @@ class _PolyParser:
 
     def _maybe_power(self, base):
         s = self.s
-        if s.at("^"):
-            s.next()
-            t = s.expect("INT")
-            return base ** int(t[1])
-        return base
+        if not s.at("^"):
+            return base
+        s.next()
+        n = int(s.expect("INT")[1])
+        if self.order is None or len(base.terms) == 1:
+            return base ** n
+        # square and multiply, cutting every product back to the order
+        out = self.ring.one()
+        base = self._truncated(base)
+        while n:
+            if n & 1:
+                out = self._truncated(out * base)
+            n >>= 1
+            if n:
+                base = self._truncated(base * base)
+        return out
+
+    def _truncated(self, p):
+        return Polynomial(self.ring, {e: c for e, c in p.terms.items() if sum(e) <= self.order})
 
 
 def parse_polynomial(text, ring):
     return _parse_poly_tokens(_tokenize(text), ring)
 
 
-def _parse_poly_tokens(tokens, ring):
-    """The polynomial spelled by tokens, which end with an EOF token."""
+def _parse_poly_tokens(tokens, ring, order=None):
+    """The polynomial spelled by tokens, which end with an EOF token; order
+    truncates powers as _PolyParser says."""
     stream = _TokenStream(tokens)
-    p = _PolyParser(stream, ring).parse_expr()
+    p = _PolyParser(stream, ring, order).parse_expr()
     t = stream.peek()
     if t[0] != "EOF":
         raise ParseError("trailing input %r" % (t[1],), t[2], t[3])
@@ -318,7 +338,7 @@ def _build_spec(name, entries, close):
     relations = []
     constant = (0,) * len(variables)
     for item in _split_list(toks, end, "relations"):
-        p = _parse_poly_tokens(item, ring)
+        p = _parse_poly_tokens(item, ring, order)
         if constant in p.terms:
             t = item[0]
             raise ParseError("relation %r has a nonzero constant term" % (p,), t[2], t[3])

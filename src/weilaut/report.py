@@ -18,7 +18,7 @@ from .endo import (  # noqa: F401
 )
 from .published import build_discrepancies, match_reference_family, reference_for
 from .scalar import QQ
-from .solver import classify_det1, component_count, solve
+from .solver import MAX_DEPTH, classify_det1, component_count, solve
 from .weil import build_algebra
 
 REPORT_KEYS = (
@@ -148,7 +148,7 @@ class Analysis:
         self.reference = reference
 
 
-def analyze(spec, max_depth=24):
+def analyze(spec, max_depth=MAX_DEPTH):
     algebra = build_algebra(spec)
     endo = generic_endo(algebra)
     system = constraint_system(endo)

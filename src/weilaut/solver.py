@@ -32,6 +32,8 @@ NO_REAL_SOLUTION = "no-real-solution"
 BUDGET_EXHAUSTED = "branch budget exhausted"
 
 BRANCH_BUDGET = 512
+# the default limit on how many splits lead from the root to a branch
+MAX_DEPTH = 24
 ROOT_BOUND = 10 ** 6
 
 
@@ -583,7 +585,7 @@ def make_family(br):
     )
 
 
-def solve(system, max_depth=24, branch_budget=BRANCH_BUDGET):
+def solve(system, max_depth=MAX_DEPTH, branch_budget=BRANCH_BUDGET):
     """Split the constraint system into families and dead branches."""
     if len(system.nondegeneracy) != 1:
         raise SolverError("expected a single invertibility polynomial")

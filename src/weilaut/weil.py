@@ -10,9 +10,13 @@ a (j, pairs) entry, in increasing j, for each nonzero product e_i * e_j
 only, pairs being its (k, coefficient) terms. integral_copy rescales the
 constants to integers for the numeric check, which then never leaves
 Python ints.
+
+build_algebra requires each power m^s of the maximal ideal to be spanned by
+basis monomials (nil_power_indices). One pass from s = r down to 1 uses
+m^s = m^(s+1) + span(normal forms of degree-s monomials): the forms are cleared
+on m^(s+1)'s monomials and row-reduced; each pivot row must be a unit vector.
 """
 
-from fractions import Fraction
 from math import lcm
 
 from .scalar import QQ
@@ -168,31 +172,26 @@ def build_algebra(spec):
     alg.nil_indices = tuple(range(1, alg.dim))
     alg._integral = None
 
-    # powers of the nilradical: span of normal forms of monomials of degree >= s
-    r = spec.order
+    # span: the basis monomials spanning m^(s+1), from m^(r+1) = 0
+    span = set()
     npi = []
-    for s in range(1, r + 2):
+    for s in range(spec.order, 0, -1):
         rows = []
-        for e in monomials(len(ring.vars), s, r):
-            nf = table[e]
-            if nf:
-                coords = [Fraction(0)] * alg.dim
-                for ee, c in nf.terms.items():
-                    coords[alg.basis_index[ee]] = c
-                rows.append(coords)
-        if not rows:
-            npi.append(tuple())
-            continue
-        red, pivots = rref(rows)
-        idx = set()
-        for t, row in enumerate(red[: len(pivots)]):
-            nonzero = [k for k, x in enumerate(row) if x]
-            if len(nonzero) != 1:
+        for e in monomials(len(ring.vars), s, s):
+            row = [0] * alg.dim
+            for m, c in table[e].terms.items():
+                k = alg.basis_index[m]
+                if k not in span:
+                    row[k] = c
+            if any(row):
+                rows.append(row)
+        if rows:
+            red, pivots = rref(rows)
+            if any(sum(map(bool, row)) != 1 for row in red[: len(pivots)]):
                 raise WeilError("nilradical power is not spanned by basis monomials")
-            idx.add(nonzero[0])
-        npi.append(tuple(sorted(idx)))
-    while npi and not npi[-1]:
-        npi.pop()
+            span.update(pivots)
+        if span:
+            npi.insert(0, tuple(sorted(span)))
     alg.nil_power_indices = tuple(npi)
     alg.nilpotency_order = len(npi)
     deg1 = set(alg.degree_one_indices())

@@ -17,11 +17,11 @@ matrix.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd
 
 from weilaut.linalg import bareiss_determinant, check_block_triangular
-from weilaut.quotient import normal_form
+from weilaut.quotient import IdealPresentation, buchberger, normal_form, standard_monomials
 
 
 def perm_sign(p):
@@ -345,6 +345,36 @@ def rank(rows):
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         r += 1
     return r
+
+
+def nil_powers(spec):
+    """What build_algebra must give for spec: its nil_power_indices, or the
+    message of the WeilError it must raise.
+
+    m^s is spanned by the normal forms of the monomials of degree s..r. Those
+    rows span basis monomials only iff their rank equals the size of the
+    union of their supports, and that union is then m^s's index set. No
+    degree-one basis monomial may lie in m^2.
+    """
+    ring, r = spec.ring, spec.order
+    gb = buchberger(IdealPresentation(ring, spec.relations, r))
+    basis = standard_monomials(gb)
+    forms = {}
+    for e in product(range(r + 1), repeat=len(ring.vars)):
+        if 1 <= sum(e) <= r:
+            forms[e] = normal_form(ring.monomial(e), gb)
+    powers = []
+    for s in range(1, r + 1):
+        rows = [[nf.terms.get(m, 0) for m in basis] for e, nf in forms.items() if sum(e) >= s]
+        support = sorted({k for row in rows for k, x in enumerate(row) if x})
+        if rank(rows) != len(support):
+            return "nilradical power is not spanned by basis monomials"
+        if support:
+            powers.append(tuple(support))
+    degree_one = {k for k, e in enumerate(basis) if sum(e) == 1}
+    if len(powers) >= 2 and degree_one & set(powers[1]):
+        return "a degree-one basis element lies in the square of the nilradical"
+    return tuple(powers)
 
 
 def numeric_product_check(endo, values):

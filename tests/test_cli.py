@@ -238,6 +238,33 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    tangent2 = spec_path("tangent2")
+    bindings = spec_path("quartic").replace("quartic.alg", "quartic_family.bindings")
+    for argv in (
+        ["basis", tangent2, "--json", str(out), "--samples", "3", "--max-branch-depth", "2"],
+        ["basis", tangent2, "--json", str(out)],
+        ["table", tangent2, "--seed", "0"],
+        ["constraints", tangent2, "--max-branch-depth", "2"],
+        ["solve", tangent2, "--samples", "3"],
+        ["report", tangent2, "--samples", "3"],
+        ["verify", spec_path("quartic"), bindings, "--json", str(out)],
+        ["verify", spec_path("quartic"), bindings, "--max-branch-depth", "2"],
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: unrecognized arguments: ")
+    assert not out.exists()
+
+
+def test_a_power_of_m_off_the_basis_monomials_exits_one(tmp_path, capsys):
+    # the sextic after X -> X + Y: its m^s are not spanned by basis monomials
+    spec = tmp_path / "sextic_xy.alg"
+    spec.write_text("algebra sextic_xy { vars: X, Y; order: 6; relations: (X + Y)^3 + Y^4, (X + Y)^4 + Y^5; }")
+    assert main(["basis", str(spec)]) == 1
+    assert capsys.readouterr().err == "error: nilradical power is not spanned by basis monomials\n"
+
+
 def test_precedence_flag_changes_the_basis(capsys):
     main(["basis", spec_path("sextic")])
     default = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import random
 import re
 import time
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from weilaut.parsing import parse_specfile, parse_polynomial, parse_bindings, ParseError
 from weilaut.poly import PolyRing
 from weilaut.scalar import QQ, ExtensionField
+from weilaut.weil import build_algebra
 
 
 def test_parse_basic_block():
@@ -57,6 +59,34 @@ def test_a_monomial_power_is_one_step():
     (spec,) = parse_specfile("algebra t { vars: X; order: 2; relations: X^1000000; }")
     assert time.perf_counter() - start < 1
     assert [repr(g) for g in spec.relations] == ["X^1000000"]
+
+
+def test_a_relation_power_drops_terms_above_the_order():
+    # every term of (X + Y + Z)^200 lies in m^3, so at order 2 none is kept
+    start = time.perf_counter()
+    (spec,) = parse_specfile("algebra t { vars: X, Y, Z; order: 2; relations: (X + Y + Z)^200; }")
+    assert time.perf_counter() - start < 1
+    assert spec.relations == ()
+    assert build_algebra(spec).dim == 10
+    (spec,) = parse_specfile("algebra t { vars: X, Y; order: 2; relations: (X + Y)^2; }")
+    assert [repr(g) for g in spec.relations] == ["X^2 + 2*X*Y + Y^2"]
+    # polynomials outside a spec, such as bindings, keep every term
+    assert parse_polynomial("(X + Y)^3", spec.ring).total_degree() == 3
+    # a truncated relation agrees with the full power up to the order
+    rng = random.Random(7)
+    for _ in range(40):
+        order, n = rng.randint(1, 4), rng.randint(0, 7)
+        base = " + ".join(
+            "%d*X^%d*Y^%d" % (rng.choice((1, -1, 2, 3)), rng.randint(0, 2), rng.randint(0, 2))
+            for _ in range(rng.randint(2, 3))
+        )
+        text = "Y*(%s)^%d" % (base, n)
+        (spec,) = parse_specfile("algebra t { vars: X, Y; order: %d; relations: %s; }" % (order, text))
+        full = parse_polynomial(text, spec.ring)
+        kept = spec.relations[0].terms if spec.relations else {}
+        assert {e: c for e, c in kept.items() if sum(e) <= order} == {
+            e: c for e, c in full.terms.items() if sum(e) <= order
+        }, text
 
 
 def test_parse_errors_carry_position():

@@ -10,6 +10,8 @@ from weilaut.quotient import nf_table, normal_form
 from weilaut.parsing import parse_specfile
 import os
 
+import oracles
+
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "weilaut", "specs")
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "bench", "corpus.alg")
 
@@ -211,3 +213,70 @@ def test_structure_pairs_are_direct_normal_forms(spec):
             nf = normal_form(ring.monomial(ei) * ring.monomial(ej), alg.gb)
             want = tuple(sorted((alg.basis_index[e], c) for e, c in nf.terms.items()))
             assert row.get(j, ()) == want
+
+
+NOT_SPANNED = "nilradical power is not spanned by basis monomials"
+IN_SQUARE = "a degree-one basis element lies in the square of the nilradical"
+
+# presentations whose nil powers build_algebra rejects, with its message at
+# both precedences; a filtration-adapted basis (ROADMAP item 4) is to mend
+# the first two, which are the sextic and the cusp after X -> X + Y
+NIL_POWER_LEDGER = (
+    ("algebra sextic_xy { vars: X, Y; order: 6; relations: (X + Y)^3 + Y^4, (X + Y)^4 + Y^5; }", NOT_SPANNED),
+    ("algebra cusp_xy { vars: X, Y; order: 4; relations: (X + Y)^2 - Y^3; }", NOT_SPANNED),
+    ("algebra parabola { vars: X, Y; order: 3; relations: X - Y^2; }", IN_SQUARE),
+)
+
+
+def random_spec_texts(seed, count):
+    """count seeded random presentations as spec text: 2 or 3 variables,
+    order 2 to 5 (2 to 3 with three variables), and 1 to 3 relations of 1
+    to 3 terms each, of degree 2 to the order, coefficients in {+-1, +-2, 3}.
+    """
+    rng = random.Random(seed)
+    texts = []
+    for t in range(count):
+        names = ("X", "Y", "Z")[: rng.choice((2, 3))]
+        order = rng.randint(2, 5 if len(names) == 2 else 3)
+        relations = []
+        for _ in range(rng.randint(1, 3)):
+            terms = []
+            for _ in range(rng.randint(1, 3)):
+                exps = [0] * len(names)
+                for _ in range(rng.randint(2, order)):
+                    exps[rng.randrange(len(names))] += 1
+                factors = ["%s^%d" % (v, k) for v, k in zip(names, exps) if k]
+                terms.append("*".join(["%d" % rng.choice((1, -1, 2, -2, 3))] + factors))
+            relations.append(" + ".join(terms))
+        texts.append(
+            "algebra r%d_%d { vars: %s; order: %d; relations: %s; }"
+            % (seed, t, ", ".join(names), order, ", ".join(relations))
+        )
+    return texts
+
+
+def both_precedences(specs):
+    return [s for spec in specs for s in (spec, spec.with_precedence(tuple(reversed(spec.precedence or spec.variables))))]
+
+
+def nil_power_outcome(spec):
+    """build_algebra's nil_power_indices for spec, or its WeilError message."""
+    try:
+        alg = build_algebra(spec)
+    except WeilError as exc:
+        return str(exc)
+    assert alg.nilpotency_order == len(alg.nil_power_indices)
+    return alg.nil_power_indices
+
+
+@pytest.mark.parametrize("text, message", NIL_POWER_LEDGER, ids=[text.split()[1] for text, _ in NIL_POWER_LEDGER])
+def test_nil_power_ledger(text, message):
+    for spec in both_precedences(parse_specfile(text)):
+        assert nil_power_outcome(spec) == message == oracles.nil_powers(spec)
+
+
+def test_nil_powers_match_the_rank_oracle():
+    shipped = [load(name) for name in ("tangent2", "quartic", "sextic")]
+    randoms = [s for text in random_spec_texts(3, 100) for s in parse_specfile(text)]
+    for spec in corpus_and_scaled() + both_precedences(shipped + randoms):
+        assert nil_power_outcome(spec) == oracles.nil_powers(spec), spec.name
