@@ -26,8 +26,9 @@ leaves alone.
 
 Multivariate division has one implementation, divide: it returns the
 quotients and the remainder by a list of divisors in one pass. exact_div is
-division by one divisor with a zero remainder; the Groebner bases and normal
-forms of quotient.py are remainders by the basis.
+division by one divisor with a zero remainder. quotient.py builds its
+Groebner bases and normal-form tables by one row reduction, and its
+normal_form, the remainder by the basis, is their independent reference.
 
 A univariate polynomial is a coefficient list, handled by scalar.py's
 kernel; univariate_coeffs is the one bridge to it from a Polynomial.
@@ -468,15 +469,24 @@ class Polynomial:
         divides a term cancels it, and a term no leading monomial divides
         moves to the remainder. A leading coefficient other than 1 is
         inverted once, when its divisor is first used.
+
+        Every divisor must come from a ring with self's variables and
+        precedence (its field may differ): leading terms taken under another
+        order would send a term back after it reached the remainder.
         """
         # imported here: loading heapq would add to every import of weilaut
         from heapq import heapify, heappop, heappush
+        ring = self.ring
+        for d in divisors:
+            if d.ring is not ring and (
+                d.ring.vars != ring.vars or d.ring.order.precedence != ring.order.precedence
+            ):
+                raise PolyError("divisor from a ring with other variables or another order")
         leads = [d.leading() for d in divisors]
         invs = [None] * len(leads)
         quotients = [{} for _ in leads]
         rem = {}
         work = dict(self.terms)
-        ring = self.ring
         key = ring.order.key
 
         def entry(e):

@@ -168,16 +168,18 @@ class ExtensionField:
     Degree 1 is the rational field itself.
     """
 
-    __slots__ = ("minpoly", "lo", "hi", "gen_name")
+    __slots__ = ("minpoly", "lo", "hi")
 
-    def __init__(self, minpoly, root_interval=(0, 0), gen_name="c"):
+    # the generator's name in renderings and in the report's "field" entry
+    gen_name = "c"
+
+    def __init__(self, minpoly, root_interval=(0, 0)):
         mp = tuple(rational(a) for a in minpoly)
         if len(mp) < 2 or mp[-1] != 1:
             raise FieldError("minimal polynomial must be monic of degree >= 1")
         self.minpoly = mp
         self.lo = Fraction(root_interval[0])
         self.hi = Fraction(root_interval[1])
-        self.gen_name = gen_name
         if self.degree > 1:
             slo = eval_rational(mp, self.lo)
             shi = eval_rational(mp, self.hi)

@@ -117,13 +117,12 @@ class Residual:
 
 
 class SolveResult:
-    __slots__ = ("families", "contradictions", "residuals", "system")
+    __slots__ = ("families", "contradictions", "residuals")
 
-    def __init__(self, families, contradictions, residuals, system):
+    def __init__(self, families, contradictions, residuals):
         self.families = families
         self.contradictions = contradictions
         self.residuals = residuals
-        self.system = system
 
     def closed(self):
         return not self.residuals
@@ -229,17 +228,6 @@ def _invertible(c, guard_vars):
     return c.is_constant() or (len(c.terms) == 1 and c.vars_used() <= guard_vars)
 
 
-def _is_prime(k):
-    if k < 2:
-        return False
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _rule_single_term(br):
     """Bind u = 0 for an equation u^k = 0. Normalization has stripped every
     guarded factor, so such a u is unguarded."""
@@ -282,7 +270,7 @@ def _rule_power_bind(br):
         if root is not None:
             value = br.ring.var(earlier) * root
             return _bind(br, later, value, "%s = %r" % (later, value))
-        if domain is not QQ or not _is_prime(k):
+        if domain is not QQ or _divisors(k) != [1, k]:
             continue
         if abs(d) < 1:
             src, dst, d = later, earlier, field_div(1, d)
@@ -621,7 +609,7 @@ def solve(system, max_depth=MAX_DEPTH, branch_budget=BRANCH_BUDGET):
                 queue.append(_child(br, path, guards, bind))
             except ContradictionSignal as c:
                 contradictions.append(Contradiction(path, c.reason, c.detail))
-    return SolveResult(families, contradictions, residuals, system)
+    return SolveResult(families, contradictions, residuals)
 
 
 def component_count(result):

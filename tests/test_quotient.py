@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from weilaut.poly import PolyRing, Polynomial, PolyError
+from weilaut.parsing import parse_specfile
+from weilaut.poly import PolyRing, Polynomial, PolyError, monomials
 from weilaut.scalar import QQ
 from weilaut.quotient import IdealPresentation, buchberger, normal_form, standard_monomials, nf_table
+from weilaut.specdata import spec_path
 from oracles import dense_quotient_oracle
+from test_weil import both_precedences, corpus_and_scaled, random_spec_texts
 
 
 def ring_yx():
@@ -32,6 +35,20 @@ def sextic_gb():
     X, Y = r.var("X"), r.var("Y")
     gens = [X**3 + Y**4, X**4 + Y**5]
     return r, buchberger(IdealPresentation(r, gens, 6))
+
+
+def presentation_gbs():
+    """(generators, basis) of the shipped three, the corpus and 100 seeded
+    random presentations in two and three variables, at both precedences."""
+    specs = []
+    for name in ("tangent2", "quartic", "sextic"):
+        with open(spec_path(name)) as fh:
+            specs += parse_specfile(fh.read())
+    specs += [s for text in random_spec_texts(9, 100) for s in parse_specfile(text)]
+    return [
+        (spec.relations, buchberger(IdealPresentation(spec.ring, spec.relations, spec.order)))
+        for spec in corpus_and_scaled() + both_precedences(specs)
+    ]
 
 
 def dense_from_poly(p):
@@ -108,7 +125,13 @@ def test_quartic_relation_consequences():
 
 
 def test_spolynomials_reduce_to_zero():
-    for _, gb in (tangent2_gb(), quartic_gb(), sextic_gb()):
+    # the row reduction is held to division by its basis: every S-polynomial
+    # and every generator reduces to zero
+    gbs = [gb for _, gb in (tangent2_gb(), quartic_gb(), sextic_gb())]
+    for gens, gb in presentation_gbs():
+        assert all(normal_form(g, gb).is_zero() for g in gens)
+        gbs.append(gb)
+    for gb in gbs:
         els = gb.elements
         for i in range(len(els)):
             for j in range(i + 1, len(els)):
@@ -183,6 +206,29 @@ def test_nf_table_matches_normal_form():
     assert table[(1, 1)] == ring.var("X") * ring.var("Y")
     assert table[(2, 0)].is_zero()
     assert all(sum(e) <= 4 for e in table)
+    for _, gb in presentation_gbs():
+        ring, r = gb.ring, gb.truncation_order
+        table = nf_table(gb)
+        assert sorted(table) == monomials(len(ring.vars), 0, r)
+        for e, v in table.items():
+            assert v == normal_form(ring.monomial(e), gb)
+
+
+def test_division_refuses_a_basis_under_another_order():
+    # X*Z + X*Y leads with X*Z under Z > Y > X; dividing a polynomial of the
+    # default order by it would put X*Y in the remainder and then overwrite it
+    zyx = PolyRing(("X", "Y", "Z"), QQ, precedence=("Z", "Y", "X"))
+    gb = buchberger(IdealPresentation(zyx, [zyx.poly({(1, 0, 1): 1, (1, 1, 0): 1})], 3))
+    p = {(1, 0, 1): -1, (1, 1, 0): 2, (0, 0, 0): 2}
+    assert normal_form(zyx.poly(p), gb) == zyx.poly({(1, 1, 0): 3, (0, 0, 0): 2})
+    xyz = PolyRing(("X", "Y", "Z"), QQ)
+    with pytest.raises(PolyError):
+        normal_form(xyz.poly(p), gb)
+    with pytest.raises(PolyError):
+        xyz.poly(p).divide(gb.elements)
+    # a ring with the same variables and precedence is accepted
+    same = PolyRing(("X", "Y", "Z"), QQ, precedence=("Z", "Y", "X"))
+    assert normal_form(same.poly(p), gb).terms == {(1, 1, 0): 3, (0, 0, 0): 2}
 
 
 def test_constant_generator_rejected():

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,8 @@ from weilaut.weil import AlgebraSpec, WeilError, build_algebra, integral_copy, s
 from weilaut.poly import monomials
 from weilaut.quotient import nf_table, normal_form
 from weilaut.parsing import parse_specfile
+from weilaut.report import analyze
+from weilaut.solver import component_count
 import os
 
 import oracles
@@ -280,3 +284,39 @@ def test_nil_powers_match_the_rank_oracle():
     randoms = [s for text in random_spec_texts(3, 100) for s in parse_specfile(text)]
     for spec in corpus_and_scaled() + both_precedences(shipped + randoms):
         assert nil_power_outcome(spec) == oracles.nil_powers(spec), spec.name
+
+
+SCOREBOARD = ("crash", "residual", "closed undetermined", "closed with a count")
+
+
+def scoreboard():
+    """Tally analyze's outcome on random_spec_texts(seed, 150) for seeds 1, 5
+    and 7, at both precedences, into the SCOREBOARD kinds. A crash is any
+    exception; the second Counter holds each crash's type and message."""
+    tally, crashes = Counter(), Counter()
+    for seed in (1, 5, 7):
+        for spec in both_precedences([s for text in random_spec_texts(seed, 150) for s in parse_specfile(text)]):
+            try:
+                result = analyze(spec).result
+            except Exception as exc:
+                tally["crash"] += 1
+                crashes["%s: %s" % (type(exc).__name__, exc)] += 1
+                continue
+            if not result.closed():
+                tally["residual"] += 1
+            elif component_count(result) == "undetermined":
+                tally["closed undetermined"] += 1
+            else:
+                tally["closed with a count"] += 1
+    return tally, crashes
+
+
+if __name__ == "__main__":
+    # the scoreboard of ROADMAP item 3: PYTHONPATH=src python tests/test_weil.py
+    start = time.perf_counter()
+    tally, crashes = scoreboard()
+    for kind in SCOREBOARD:
+        print("%-20s %d" % (kind, tally[kind]))
+    for message, n in sorted(crashes.items()):
+        print("  %d x %s" % (n, message))
+    print("%d presentations in %.1f s" % (sum(tally.values()), time.perf_counter() - start))
