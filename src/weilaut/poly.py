@@ -26,9 +26,8 @@ leaves alone.
 
 Multivariate division has one implementation, divide: it returns the
 quotients and the remainder by a list of divisors in one pass. exact_div is
-division by one divisor with a zero remainder. quotient.py builds its
-Groebner bases and normal-form tables by one row reduction, and its
-normal_form, the remainder by the basis, is their independent reference.
+division by one divisor with a zero remainder; the Groebner bases and normal
+forms of quotient.py are remainders by the basis.
 
 A univariate polynomial is a coefficient list, handled by scalar.py's
 kernel; univariate_coeffs is the one bridge to it from a Polynomial.

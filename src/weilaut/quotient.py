@@ -1,18 +1,13 @@
-"""Groebner bases and normal forms for truncated ideals, by one row reduction.
+"""Groebner bases (Buchberger) and normal forms for truncated ideals.
 
-The ideals here always contain every monomial of total degree r + 1, so in
-degrees <= r an ideal is the span of the monomial multiples x^a * g of its
-generators, cut at degree r. buchberger row-reduces that Macaulay matrix
-once (Lazard, EUROCAL 1983), its columns the monomials of degree <= r with
-the largest first: the row of pivot p is then p - NF(p), which gives the
-reduced Groebner basis and the normal form of every monomial of degree <= r
-at once. Coefficients are rational. normal_form is the remainder of
-Polynomial.divide by the basis, the independent reference for that table.
+The ideals here always contain every monomial of total degree r + 1, which
+keeps the quotient finite-dimensional and Buchberger trivially terminating.
+Coefficients are rational. Every reduction, in Buchberger and in normal
+forms, is the remainder of Polynomial.divide by the basis.
 """
 
-from operator import add
+from itertools import combinations
 
-from .linalg import rref
 from .poly import PolyError, monomials
 
 
@@ -35,52 +30,66 @@ class IdealPresentation:
 
 
 class GroebnerBasis:
-    __slots__ = ("ring", "elements", "truncation_order", "normal_forms")
+    __slots__ = ("ring", "elements", "truncation_order")
 
-    def __init__(self, ring, elements, truncation_order, normal_forms):
+    def __init__(self, ring, elements, truncation_order):
         self.ring = ring
         self.elements = tuple(elements)
         self.truncation_order = truncation_order
-        self.normal_forms = normal_forms
 
 
 def _divides(e1, e2):
     return all(a <= b for a, b in zip(e1, e2))
 
 
+def _lcm_exps(e1, e2):
+    return tuple(max(a, b) for a, b in zip(e1, e2))
+
+
 def buchberger(ideal):
-    """Reduced monic Groebner basis of generators + degree-(r+1) monomials,
-    carrying the normal form of every monomial of degree <= r (nf_table)."""
-    ring, r = ideal.ring, ideal.truncation_order
-    n = len(ring.vars)
-    cols = sorted(monomials(n, 0, r), key=ring.order.key, reverse=True)
-    position = {e: j for j, e in enumerate(cols)}
-    rows = []
-    for g in ideal.generators:
-        # x^a * g cut at degree r, for each x^a that leaves a term of g there
-        for a in monomials(n, 0, r - min(map(sum, g.terms))):
-            row = [0] * len(cols)
-            for e, c in g.terms.items():
-                j = position.get(tuple(map(add, a, e)))
-                if j is not None:
-                    row[j] = c
-            rows.append(row)
-    red, pivots = rref(rows)
-    forms = {e: ring.monomial(e) for e in cols}
-    elements = {e: ring.monomial(e) for e in monomials(n, r + 1, r + 1)}
-    for row, p in zip(red, pivots):
-        lead = cols[p]
-        forms[lead] = ring.poly({cols[j]: -c for j, c in enumerate(row) if c and j != p})
-        elements[lead] = ring.monomial(lead) - forms[lead]
-    # the leads of the ideal are closed under multiplication, so a lead is
-    # minimal when no lead divides it by one variable less
-    final = [
-        g
-        for e, g in elements.items()
-        if not any(e[i] and e[:i] + (e[i] - 1,) + e[i + 1 :] in elements for i in range(n))
-    ]
+    """Reduced monic Groebner basis of generators + degree-(r+1) monomials."""
+    ring = ideal.ring
+    r = ideal.truncation_order
+    gens = list(ideal.generators)
+    basis = []
+    for g in gens + [ring.monomial(e) for e in monomials(len(ring.vars), r + 1, r + 1)]:
+        g = g.divide(basis)[1]
+        if g:
+            basis.append(g.monic())
+    pairs = list(combinations(range(len(basis)), 2))
+    while pairs:
+        i, j = pairs.pop()
+        gi, gj = basis[i], basis[j]
+        li, lj = gi.leading()[0], gj.leading()[0]
+        lcm = _lcm_exps(li, lj)
+        if tuple(a + b for a, b in zip(li, lj)) == lcm:
+            continue  # coprime leading monomials
+        si = tuple(a - b for a, b in zip(lcm, li))
+        sj = tuple(a - b for a, b in zip(lcm, lj))
+        s = ring.monomial(si) * gi - ring.monomial(sj) * gj
+        s = s.divide(basis)[1]
+        if s:
+            basis.append(s.monic())
+            k = len(basis) - 1
+            pairs.extend((t, k) for t in range(k))
+    # minimalize: drop elements whose lead is divisible by another lead
+    keep = []
+    for i, g in enumerate(basis):
+        li = g.leading()[0]
+        if any(
+            _divides(basis[j].leading()[0], li)
+            for j in range(len(basis))
+            if j != i and (j < i or basis[j].leading()[0] != li)
+        ):
+            continue
+        keep.append(g)
+    # tail-reduce each against the others
+    final = []
+    for i, g in enumerate(keep):
+        others = keep[:i] + keep[i + 1 :]
+        final.append(g.divide(others)[1].monic())
     final.sort(key=lambda g: ring.order.key(g.leading()[0]))
-    return GroebnerBasis(ring, final, r, forms)
+    return GroebnerBasis(ring, final, r)
 
 
 def normal_form(p, gb):
@@ -101,9 +110,9 @@ def standard_monomials(gb):
 def nf_table(gb):
     """Normal form of every monomial of degree <= r (the truncation order).
 
-    Returns the basis's dict exponent tuple -> Polynomial supported on
-    standard monomials, which buchberger read off its row reduction. Every
-    monomial of degree >= r + 1 lies in the ideal, so a product of basis
-    monomials missing from the table is zero.
+    Returns a dict exponent tuple -> Polynomial supported on standard
+    monomials. Every monomial of degree >= r + 1 lies in the ideal, so a
+    product of basis monomials missing from the table is zero.
     """
-    return gb.normal_forms
+    ring, r = gb.ring, gb.truncation_order
+    return {e: normal_form(ring.monomial(e), gb) for e in monomials(len(ring.vars), 0, r)}

@@ -125,8 +125,8 @@ def test_quartic_relation_consequences():
 
 
 def test_spolynomials_reduce_to_zero():
-    # the row reduction is held to division by its basis: every S-polynomial
-    # and every generator reduces to zero
+    # every S-polynomial of the basis and every generator of its ideal
+    # reduces to zero by division by the basis
     gbs = [gb for _, gb in (tangent2_gb(), quartic_gb(), sextic_gb())]
     for gens, gb in presentation_gbs():
         assert all(normal_form(g, gb).is_zero() for g in gens)
