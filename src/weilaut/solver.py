@@ -4,7 +4,13 @@ A branch carries the residual equations, the accumulated bindings, and the
 nonzero hypotheses (guards) introduced by case splits. Deterministic rules
 shrink a branch (substituting forced bindings); splitting rules fan out into
 complementary subcases, each described by a spec (path atoms, guards,
-binding) that _child turns into a branch. A branch's guards are one dict
+bindings) that _child turns into a branch. _child substitutes the bindings
+into the invertibility polynomial first, so a child on which it vanishes
+dies at birth: solve() records it as a contradiction and never queues it or
+charges it to the branch budget. The first split rule takes a clique of
+products (u*v = 0 for every two unknowns of a set S) apart in one step,
+into one child per unknown of S left nonzero and one with all of S zero;
+the content split would take |S| - 1 levels. A branch's guards are one dict
 keyed by rendering, so a repeated hypothesis is recorded once. The finite
 split and close_branch, which finishes small residual systems, take the real
 values of one unknown from one routine, _real_values: it eliminates a second
@@ -30,6 +36,7 @@ INCONSISTENT = "inconsistent-constants"
 NO_REAL_SOLUTION = "no-real-solution"
 # the reason of every residual left queued when the branch budget runs out
 BUDGET_EXHAUSTED = "branch budget exhausted"
+_NONDEG_DETAIL = "the invertibility determinant vanished identically"
 
 BRANCH_BUDGET = 512
 # the default limit on how many splits lead from the root to a branch
@@ -184,18 +191,18 @@ def _push_guard(g, guards):
         guards.setdefault(repr(g), g)
 
 
-def _bind(br, name, value, *atoms):
-    """Substitute name := value everywhere and append atoms to the path.
+def _bind(br, sub, *atoms):
+    """Substitute the bindings sub (name -> value) everywhere at once and
+    append atoms to the path.
 
-    Guards on name are transferred. A guard without name comes back from
-    substitute as itself and is already normalized, so only its repeat
+    Guards on a bound name are transferred. A guard without one comes back
+    from substitute as itself and is already normalized, so only its repeat
     check is needed.
     """
-    sub = {name: value}
     out = br.copy()
     out.path = br.path + atoms
     out.bindings = {k: v.substitute(sub) for k, v in br.bindings.items()}
-    out.bindings[name] = value
+    out.bindings.update(sub)
     out.equations = [p.substitute(sub) for p in br.equations]
     out.nondeg = br.nondeg.substitute(sub)
     out.guards = {}
@@ -208,15 +215,26 @@ def _bind(br, name, value, *atoms):
     return out
 
 
-def _child(br, path, guards, bind):
+def _child(br, path, guards, sub):
     """The one maker of split children: br on the given path, under the
-    hypotheses g != 0 for g in guards, then the binding (name, value) if any."""
+    hypotheses g != 0 for g in guards, then the bindings sub, if any, as one
+    substitution.
+
+    A child whose invertibility polynomial the bindings make zero dies here,
+    before its equations, bindings and guards are substituted, so it is
+    never queued.
+    """
     child = br.copy()
     child.splits += 1
     child.path = path
+    if sub:
+        # _bind's own substitution into nondeg then returns it untouched
+        child.nondeg = br.nondeg.substitute(sub)
+        if child.nondeg.is_zero():
+            raise ContradictionSignal(NONDEG_VANISHED, _NONDEG_DETAIL)
     for g in guards:
         _push_guard(g, child.guards)
-    return child if bind is None else _bind(child, *bind)
+    return _bind(child, sub) if sub else child
 
 
 def _residual(br, reason):
@@ -234,7 +252,7 @@ def _rule_single_term(br):
     for p in br.equations:
         if len(p.terms) == 1 and len(p.vars_used()) == 1:
             u, = p.vars_used()
-            return _bind(br, u, br.ring.zero(), "%s = 0" % u)
+            return _bind(br, {u: br.ring.zero()}, "%s = 0" % u)
     return None
 
 
@@ -269,7 +287,7 @@ def _rule_power_bind(br):
         root = kth_root_in_field(domain, d, k)
         if root is not None:
             value = br.ring.var(earlier) * root
-            return _bind(br, later, value, "%s = %r" % (later, value))
+            return _bind(br, {later: value}, "%s = %r" % (later, value))
         if domain is not QQ or _divisors(k) != [1, k]:
             continue
         if abs(d) < 1:
@@ -293,7 +311,7 @@ def _rule_power_bind(br):
         sign = -1 if d < 0 else 1
         value = ring.var(src) * (field.gen() * sign)
         atom = "adjoin c, c^%d = %s; %s = %r" % (k, mag, dst, value)
-        return _bind(lifted, dst, value, atom)
+        return _bind(lifted, {dst: value}, atom)
     return None
 
 
@@ -315,7 +333,7 @@ def _rule_linear_bind(br):
     inv = field_div(-1, c)
     # the terms of p without u, negated, over c
     value = Polynomial(br.ring, {e: v * inv for e, v in p.terms.items() if not e[i]})
-    return _bind(br, u, value, "%s = %r" % (u, value))
+    return _bind(br, {u: value}, "%s = %r" % (u, value))
 
 
 def _simplify(br):
@@ -323,13 +341,50 @@ def _simplify(br):
         # the rules rely on equations normalized under the branch's guards
         br.equations = _normalized_equations(br.equations, br.guard_vars())
         if br.nondeg.is_zero():
-            raise ContradictionSignal(
-                NONDEG_VANISHED, "the invertibility determinant vanished identically"
-            )
+            raise ContradictionSignal(NONDEG_VANISHED, _NONDEG_DETAIL)
         nxt = _rule_single_term(br) or _rule_power_bind(br) or _rule_linear_bind(br)
         if nxt is None:
             return br
         br = nxt
+
+
+def _split_clique(br):
+    """Split a clique of products at once: when u*v = 0 is an equation for
+    every two unknowns of a set S, at most one unknown of S is nonzero.
+
+    S starts from the first equation u*v (distinct unknowns, exponent 1) and
+    takes, in ring order, every unknown joined to all of S by such an
+    equation. For |S| >= 3 the children, in ring order, are u != 0 with the
+    rest of S zero for each u of S, then all of S zero: the minimal primes
+    of the edge ideal of a complete graph, where the content split takes
+    |S| - 1 levels. For two unknowns the content split has fewer children.
+    """
+    edges = set()
+    clique = None
+    for p in br.equations:
+        if len(p.terms) != 1:
+            continue
+        (exps,) = p.terms
+        pair = tuple(i for i, e in enumerate(exps) if e)
+        if len(pair) == 2 and exps[pair[0]] == exps[pair[1]] == 1:
+            edges.add(pair)
+            clique = clique or list(pair)
+    if clique is None:
+        return None
+    for k in range(len(br.ring.vars)):
+        if k not in clique and all((min(i, k), max(i, k)) in edges for i in clique):
+            clique.append(k)
+    if len(clique) < 3:
+        return None
+    names = [br.ring.vars[i] for i in sorted(clique)]
+    zero = br.ring.zero()
+    specs = []
+    for u in names:
+        rest = [v for v in names if v != u]
+        atoms = ("%s != 0" % u,) + tuple("%s = 0" % v for v in rest)
+        specs.append((atoms, [br.ring.var(u)], dict.fromkeys(rest, zero)))
+    specs.append((tuple("%s = 0" % v for v in names), [], dict.fromkeys(names, zero)))
+    return specs
 
 
 def _split_content(br):
@@ -344,7 +399,7 @@ def _split_content(br):
         for i, u in enumerate(us):
             prior = us[:i]
             atoms = tuple("%s != 0" % v for v in prior) + ("%s = 0" % u,)
-            specs.append((atoms, [br.ring.var(v) for v in prior], (u, br.ring.zero())))
+            specs.append((atoms, [br.ring.var(v) for v in prior], {u: br.ring.zero()}))
         w = p.divide_monomial(ce).primitive()
         if not w.is_constant():
             # once every ui is guarded, normalization strips p down to w
@@ -396,9 +451,9 @@ def _split_quadratic(br):
                 minus = (-Q - s).exact_div(two * P)
             except PolyError:
                 continue
-            specs = [(("%s = %r" % (u, plus),), [], (u, plus))]
+            specs = [(("%s = %r" % (u, plus),), [], {u: plus})]
             if not s.is_zero():
-                specs.append((("%r != 0" % s, "%s = %r" % (u, minus)), [s], (u, minus)))
+                specs.append((("%r != 0" % s, "%s = %r" % (u, minus)), [s], {u: minus}))
             return specs
     return None
 
@@ -423,7 +478,7 @@ def _split_finite(br):
             continue
         if not values:
             raise ContradictionSignal(NO_REAL_SOLUTION, "no real value for %s" % u)
-        return [(("%s = %s" % (u, r),), [], (u, br.ring.const(r))) for r in values]
+        return [(("%s = %s" % (u, r),), [], {u: br.ring.const(r)}) for r in values]
     return None
 
 
@@ -535,7 +590,7 @@ def close_branch(br):
     for r in values:
         atom = "%s = %s" % (u, r)
         try:
-            child = _simplify(_bind(br, u, br.ring.const(r), atom))
+            child = _simplify(_bind(br, {u: br.ring.const(r)}, atom))
         except ContradictionSignal as c:
             rejected.append("%s (%s)" % (atom, c.reason))
             continue
@@ -594,7 +649,12 @@ def solve(system, max_depth=MAX_DEPTH, branch_budget=BRANCH_BUDGET):
             if br.splits >= max_depth:
                 residuals.append(_residual(br, "branch depth limit"))
                 continue
-            specs = _split_content(br) or _split_quadratic(br) or _split_finite(br)
+            specs = (
+                _split_clique(br)
+                or _split_content(br)
+                or _split_quadratic(br)
+                or _split_finite(br)
+            )
         except ContradictionSignal as c:
             contradictions.append(Contradiction(br.path, c.reason, c.detail))
             continue
@@ -603,10 +663,11 @@ def solve(system, max_depth=MAX_DEPTH, branch_budget=BRANCH_BUDGET):
             # finish, so here close_branch only labels one residual
             residuals.extend(close_branch(br))
             continue
-        for atoms, guards, bind in specs:
+        for atoms, guards, sub in specs:
             path = br.path + atoms
             try:
-                queue.append(_child(br, path, guards, bind))
+                # a child that dies at birth is recorded, never queued
+                queue.append(_child(br, path, guards, sub))
             except ContradictionSignal as c:
                 contradictions.append(Contradiction(path, c.reason, c.detail))
     return SolveResult(families, contradictions, residuals)

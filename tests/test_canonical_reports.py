@@ -34,10 +34,10 @@ SHA256 = {
     ("e6", "rev"): "5b9867b98a0f30ee6483857cadfcaf49fdf38511ab552c295c1de0d5a542e371",
     ("tangent2_xy", "ship"): "cf33b81967cb2ba25d3933063f472930e6256735aebae4440ec0c7355c16c31a",
     ("tangent2_xy", "rev"): "6b67d26108490953dd40ff7ea3295e17e1d9ce0797bec9256bd927ca378d95f0",
-    ("tan3", "ship"): "97488c0079026e9d3c7beb16aaeecc4fc81516a24f0b916908f04d5aed4df093",
-    ("tan3", "rev"): "ff800a871101ba674a3b35ad4047e914f358b0d6fadedcbe378d869aaf377e48",
-    ("tan4", "ship"): "79426d01e8bcfa2666e25a32c97fc1023a16e578a1d2ee53f1aed54d0f95e2a4",
-    ("tan4", "rev"): "4617fdc27ac27724edf67d8e3eefb645dc9ac79040dbf171fc083faff81bc817",
+    ("tan3", "ship"): "749fdff32945a4d1be3c04fa2d0e2a7e6baf5234d85a06085c7e9ed6f73a6514",
+    ("tan3", "rev"): "86d3a6ef9016bb74220a2fe9ac6dde0e031e13ef9a7fcbe70bb41c0656bb32e1",
+    ("tan4", "ship"): "855ea8acb04be72b457d3c2daa0a0107d0c16d02a6c3d0702019c0d4363191c0",
+    ("tan4", "rev"): "1f0e425d6442ef53a565444d87e4ec7b8bfacbdd120cc04c6f2e2984ae654a41",
     ("jet23", "ship"): "b27bd0bfc3c0a1a34fcc220742679827746dfd68372084c766fb61219b403391",
     ("jet23", "rev"): "4e21d594983ab673caf3f4c306123bf618e0f95ba60b7768a1596ca8fc969939",
     ("jet24", "ship"): "d0bf17e2b658f340da08f44e33adacd8e2a23ed4b5e9bb6844eee7a8b677798b",
@@ -49,19 +49,19 @@ SHA256 = {
 SOLVE_TEXT_SHA256 = {
     ("tangent2", "ship"): "f05a9c8b5ca124d2cd7075d3aa7eb3eddfd23cafdbd98902029a8583c2634d26",
     ("tangent2", "rev"): "56e36ada9f5434e222b3ab8e6202f235c28c299289e09cfc5018cf4398cad82d",
-    ("quartic", "ship"): "a2c991d9a75979ffe11b52591d0da3fc633eccfc4d1106297a915e21a6e267b4",
-    ("quartic", "rev"): "ffa246390f4109ab6bccded73a2ab805e13c3d798a0217c16a169b324453209b",
-    ("sextic", "ship"): "12d5d2c99bc8b085faa38b6fa5ca19ecb136ad56e2ad20ba5b42b860552994e4",
-    ("sextic", "rev"): "557d75aedbf64f0eb8d2b1c5b838bedd75b672b7d705101d432fe6bd0eb3763a",
-    ("tan3", "ship"): "cd2f24a0f69e22c140e20179286a98e2baab0f76f95d39af1e52b0f2f7ad7356",
-    ("tan3", "rev"): "1438c1461314eceb0c1127f83a60cc55e30682c2368416db04fd10acc5656427",
+    ("quartic", "ship"): "1583cca87ad9d6a64e8677edbb4941ab977833281b3e9ab1a424ba7e3c50a55e",
+    ("quartic", "rev"): "c0a3aeed8a5357bc06332d4109e8683ac32100a556601d8f9630dd3a4564d9db",
+    ("sextic", "ship"): "6cf12d9861464ac22da2304b00b853655c101744dda7907ed4f8378017c0d321",
+    ("sextic", "rev"): "877a9ae1dd2ae9d40b6f718f50dff2e588dee7952ebbaa263aba8832c8fa44e7",
+    ("tan3", "ship"): "def8362e410040dc5cab141d331a4430ff507ae518db058015440295a5ea9656",
+    ("tan3", "rev"): "67d240db654d7d14c89a727b384e68b02c55c46e6de7b9111df9df859e757557",
     # the reports differ (the basis order does), the solve texts do not
-    ("tan4", "ship"): "3542a63ea27e905583527d1e898112f635c3f6c94907baaa75e474079e81333b",
-    ("tan4", "rev"): "3542a63ea27e905583527d1e898112f635c3f6c94907baaa75e474079e81333b",
+    ("tan4", "ship"): "a20a45e6b02d6ce1ccd9f74fdc8640b0057868491448b341b6a1d45d441014b3",
+    ("tan4", "rev"): "a20a45e6b02d6ce1ccd9f74fdc8640b0057868491448b341b6a1d45d441014b3",
     ("cusp", "ship"): "d9bc554778e20dad082becc06ff84cb7972938a1cb817ee476da3c5a91006d93",
     ("cusp", "rev"): "54e094581ee2df375fa0d0b3491c921818449aeea9ebf27db7282c7be4613108",
-    ("e6", "ship"): "563a0e2040fdd4e7620adcff755aa05ae255e7429cc2a926ab16399bc62e98a1",
-    ("e6", "rev"): "c698138a3869df7fc4f2fdcfcc1968408b725a782915d1c6b886d3a50cc350d3",
+    ("e6", "ship"): "44ae560d9afbe627e18623dda48039c43e560103a66af1ca92ab3d0ec1f94ada",
+    ("e6", "rev"): "21689e8504fbfb622c7ac981ccec36a98a011b00a2d8776372c45b69df300eec",
     ("tangent2_xy", "ship"): "fbf8b85bfb16aef6ca58acbf052c4db4069240f7e7a114cfb063dd3f2bdb8c50",
     ("tangent2_xy", "rev"): "1130a9677c3c1bf59c9f361cc660aed96b889c9db6beca7eeb304fdb778ac47c",
 }

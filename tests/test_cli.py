@@ -87,20 +87,23 @@ def test_solve_exits_two_on_residuals(capsys):
     assert "components: undetermined" in out
 
 
-TAN5O2 = "algebra tan5o2 { vars: X, Y, Z, W, V; order: 2; relations: X^2, Y^2, Z^2, W^2, V^2; }\n"
+TAN6O2 = (
+    "algebra tan6o2 { vars: X, Y, Z, W, V, U; order: 2;"
+    " relations: X^2, Y^2, Z^2, W^2, V^2, U^2; }\n"
+)
 
 
 def test_solve_warns_when_the_branch_budget_runs_out(tmp_path, capsys):
-    spec = tmp_path / "tan5o2.alg"
-    spec.write_text(TAN5O2)
-    out_json = tmp_path / "tan5o2.json"
+    spec = tmp_path / "tan6o2.alg"
+    spec.write_text(TAN6O2)
+    out_json = tmp_path / "tan6o2.json"
     assert main(["solve", str(spec), "--json", str(out_json)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "warning: branch budget 512 exhausted, 173 branches left open\n"
+    assert captured.err == "warning: branch budget 512 exhausted, 715 branches left open\n"
     assert "warning" not in captured.out
-    assert "residuals: 173" in captured.out
+    assert "residuals: 715" in captured.out
     rep = json.loads(out_json.read_bytes())
-    assert [r["reason"] for r in rep["residuals"]] == ["branch budget exhausted"] * 173
+    assert [r["reason"] for r in rep["residuals"]] == ["branch budget exhausted"] * 715
 
 
 def test_solve_warns_only_when_the_budget_runs_out(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from weilaut import solver
 from weilaut.parsing import parse_specfile
-from weilaut.report import analyze
+from weilaut.report import analyze, overall_det1_image
 from weilaut.weil import build_algebra
 from weilaut.endo import (
     ConstraintSystem,
@@ -27,6 +27,7 @@ from weilaut.solver import (
     _normalized_equations,
     _rule_linear_bind,
     _simplify,
+    _split_clique,
     classify_det1,
     close_branch,
     component_count,
@@ -208,6 +209,64 @@ def test_content_split_guards_the_complement():
         ),
     ]
     assert component_count(res) == 3
+
+
+def test_a_clique_of_products_splits_in_one_step():
+    # U*V = U*W = V*W = 0: at most one of U, V, W is nonzero
+    ring = PolyRing(("U", "V", "W"), QQ)
+    U, V, W = (ring.var(n) for n in "UVW")
+    br = Branch(ring, [U * V, U * W, V * W], ring.one(), {}, [], (), 0)
+    specs = _split_clique(br)
+    summary = [(atoms, guards, {k: repr(v) for k, v in sub.items()}) for atoms, guards, sub in specs]
+    assert summary == [
+        (("U != 0", "V = 0", "W = 0"), [U], {"V": "0", "W": "0"}),
+        (("V != 0", "U = 0", "W = 0"), [V], {"U": "0", "W": "0"}),
+        (("W != 0", "U = 0", "V = 0"), [W], {"U": "0", "V": "0"}),
+        (("U = 0", "V = 0", "W = 0"), [], {"U": "0", "V": "0", "W": "0"}),
+    ]
+    res = solve(tiny_system(ring, [U * V, U * W, V * W], ring.one()))
+    assert [f.path for f in res.families] == [atoms for atoms, _, _ in specs]
+    assert [f.nonzero for f in res.families] == [("U",), ("V",), ("W",), ()]
+    assert not res.contradictions and not res.residuals
+    # disjoint: every two families differ on an unknown one binds to 0 and
+    # the other holds nonzero
+    for i, f in enumerate(res.families):
+        for g in res.families[i + 1 :]:
+            zeros_f = {k for k, v in f.bindings.items() if not v}
+            zeros_g = {k for k, v in g.bindings.items() if not v}
+            assert zeros_f & set(g.nonzero) or zeros_g & set(f.nonzero)
+    assert component_count(res) == 7
+
+
+def test_two_unknowns_take_the_content_split():
+    # a product of two unknowns, as tangent2's A*B, or a star of products
+    # that is no clique, leaves the clique split nothing to do
+    ring = PolyRing(("U", "V", "W"), QQ)
+    U, V, W = (ring.var(n) for n in "UVW")
+    for equations in ([U * V], [U * V, U * W]):
+        assert _split_clique(Branch(ring, equations, ring.one(), {}, [], (), 0)) is None
+    res = solve(tiny_system(ring, [U * V], ring.one()))
+    assert [f.path for f in res.families] == [("U = 0",), ("U != 0", "V = 0")]
+
+
+def test_a_child_whose_det1_vanishes_dies_at_birth():
+    # det1 = U: of the clique split's four children only U != 0 lives, so
+    # the root and that child fit a budget of two branches; the dead three
+    # are recorded, never queued or charged
+    ring = PolyRing(("U", "V", "W"), QQ)
+    U, V, W = (ring.var(n) for n in "UVW")
+    res = solve(tiny_system(ring, [U * V, U * W, V * W], U), branch_budget=2)
+    assert res.residuals == []
+    fam, = res.families
+    assert fam.path == ("U != 0", "V = 0", "W = 0")
+    assert [(c.path, c.reason, c.detail) for c in res.contradictions] == [
+        (atoms, "nondegeneracy-vanished", "the invertibility determinant vanished identically")
+        for atoms in (
+            ("V != 0", "U = 0", "W = 0"),
+            ("W != 0", "U = 0", "V = 0"),
+            ("U = 0", "V = 0", "W = 0"),
+        )
+    ]
 
 
 def test_quadratic_split_guards_only_the_minus_branch():
@@ -547,14 +606,8 @@ def test_quartic_dead_branches(quartic_result):
     endo, res = quartic_result
     assert [(c.path, c.reason) for c in res.contradictions] == [
         (("J = 0", "A = 0"), "nondegeneracy-vanished"),
-        (
-            (
-                "J != 0; J^3 + 4*K^3 = 0",
-                "adjoin c, c^3 = 4; J = (-c)*K",
-                "A = (1/2*c)*B",
-            ),
-            "inconsistent-constants",
-        ),
+        # a child whose det1 vanishes dies when it is made, so it comes
+        # before its sibling, which dies only when it is popped
         (
             (
                 "J != 0; J^3 + 4*K^3 = 0",
@@ -564,10 +617,30 @@ def test_quartic_dead_branches(quartic_result):
             ),
             "nondegeneracy-vanished",
         ),
+        (
+            (
+                "J != 0; J^3 + 4*K^3 = 0",
+                "adjoin c, c^3 = 4; J = (-c)*K",
+                "A = (1/2*c)*B",
+            ),
+            "inconsistent-constants",
+        ),
     ]
-    assert res.contradictions[1].detail == (
+    assert res.contradictions[2].detail == (
         "equation 3*B^3 reduces to the nonzero constant 3"
     )
+
+
+TAN5O2 = "algebra tan5o2 { vars: X, Y, Z, W, V; order: 2; relations: X^2, Y^2, Z^2, W^2, V^2; }"
+
+
+def test_tan5o2_closes_within_the_default_budget():
+    res = analyze(parse_specfile(TAN5O2)[0]).result
+    assert res.closed()
+    assert len(res.families) == 120
+    assert all(len(f.nonzero) == 5 and not f.conditions for f in res.families)
+    assert component_count(res) == 3840
+    assert overall_det1_image([classify_det1(f) for f in res.families]) == "R\\{0}"
 
 
 def test_sextic_closes_to_one_component(sextic_result):
@@ -595,11 +668,9 @@ def test_sextic_closes_to_one_component(sextic_result):
     assert classify_det1(fam) == "{1}"
     for atom in ("A = 0", "P != 0", "B = 1", "P = 1"):
         assert atom in fam.path
-    assert sorted(c.reason for c in res.contradictions) == [
-        "inconsistent-constants",
-        "inconsistent-constants",
-        "nondegeneracy-vanished",
-    ]
+    # each dead child's det1 vanishes with its binding, so it dies when it
+    # is made, before normalization finds its inconsistent constants
+    assert [c.reason for c in res.contradictions] == ["nondegeneracy-vanished"] * 3
     assert component_count(res) == 1
 
 
