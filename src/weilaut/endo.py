@@ -8,12 +8,14 @@ structure-constant products drive fully numeric instantiation, which serves
 as the independent ground truth for every derived equation. That check runs
 on Python ints: the images and the structure constants are cleared of
 denominators once, and invertibility is a fraction-free Bareiss determinant
-of the nil block.
+of the nil block. Both sides of phi(e_i * e_j) = phi(e_i) * phi(e_j) depend
+only on the product monomial e_i * e_j, so the pairs that share one are
+compared once (product_groups).
 """
 
 from fractions import Fraction
 from math import comb, lcm
-from operator import floordiv
+from operator import add, floordiv
 
 from .scalar import QQ
 from .poly import PolyRing, Polynomial
@@ -313,6 +315,33 @@ class NumericEndo:
         return self._matrix
 
 
+def product_groups(algebra):
+    """The basis pairs (i, j), i <= j, grouped by their product monomial.
+
+    One (i, j, terms, m, pairs) per distinct exponent sum b of e_i and e_j:
+    (i, j) is the group's first pair, terms the integral table entry of
+    e_i * e_j (integral_copy; the normal form of x^b, so the same for every
+    pair of the group), m the largest degree among b and the terms' basis
+    monomials, and pairs every pair of the group in order. Built on first
+    use and cached on the algebra.
+    """
+    if algebra._product_groups is None:
+        basis = algebra.basis
+        degree = [sum(e) for e in basis]
+        groups = {}
+        for i, row in enumerate(map(dict, integral_copy(algebra)[1].structure_pairs)):
+            for j in range(i, algebra.dim):
+                b = tuple(map(add, basis[i], basis[j]))
+                group = groups.get(b)
+                if group is None:
+                    terms = row.get(j, ())
+                    m = max([degree[i] + degree[j]] + [degree[k] for k, _ in terms])
+                    group = groups[b] = (i, j, terms, m, [])
+                group[4].append((i, j))
+        algebra._product_groups = tuple(groups.values())
+    return algebra._product_groups
+
+
 def numeric_instantiate(endo, values):
     """Instantiate every unknown and test multiplicativity from scratch.
 
@@ -327,9 +356,14 @@ def numeric_instantiate(endo, values):
     The work is done in Python ints. The variable images are cleared to a
     common denominator D and the structure constants to Q (integral_copy),
     so the row of a degree-d basis monomial e is (Q*D)^d * phi(e), built by
-    the same recursion as the symbolic images. Each pair is compared with
-    both sides scaled to (Q*D)^m, m the largest degree involved, and the
-    nil block is tested by a fraction-free Bareiss determinant.
+    the same recursion as the symbolic images. Both sides of a pair depend
+    only on its product monomial x^b: the left side is phi of the normal
+    form of x^b, and the right side is phi(x^b), since the rows are the
+    images of the basis monomials and the algebra is commutative and
+    associative. So each group of product_groups is compared once, through
+    its first pair, with both sides scaled to (Q*D)^m, m the largest degree
+    involved; a failing group fails every one of its pairs. The nil block
+    is tested by a fraction-free Bareiss determinant.
     """
     alg = endo.algebra
     missing = [u for u in endo.unknowns if u not in values]
@@ -352,22 +386,19 @@ def numeric_instantiate(endo, values):
         scale.append(scale[-1] * (q * d))
 
     failing = []
-    for i, row in enumerate(map(dict, integral.structure_pairs)):
-        for j in range(i, alg.dim):
-            # Q*(Q*D)^m times each side of phi(e_i * e_j) = phi(e_i) * phi(e_j)
-            pairs = row.get(j, ())
-            m = max([degree[i] + degree[j]] + [degree[k] for k, _ in pairs])
-            lhs = [0] * alg.dim
-            for k, c in pairs:
-                f = c * scale[m - degree[k]]
-                lhs = [a + f * x for a, x in zip(lhs, rows[k])]
-            rhs = structure_product(integral, rows[i], rows[j], 0)
-            f = scale[m - degree[i] - degree[j]]
-            if lhs != (rhs if f == 1 else [f * x for x in rhs]):
-                failing.append((i, j))
+    for i, j, terms, m, pairs in product_groups(alg):
+        # Q*(Q*D)^m times each side of phi(e_i * e_j) = phi(e_i) * phi(e_j)
+        lhs = [0] * alg.dim
+        for k, c in terms:
+            f = c * scale[m - degree[k]]
+            lhs = [a + f * x for a, x in zip(lhs, rows[k])]
+        rhs = structure_product(integral, rows[i], rows[j], 0)
+        f = scale[m - degree[i] - degree[j]]
+        if lhs != (rhs if f == 1 else [f * x for x in rhs]):
+            failing.extend(pairs)
     if failing:
         names = alg.basis_names()
-        failing = [(names[i], names[j]) for i, j in failing]
+        failing = [(names[i], names[j]) for i, j in sorted(failing)]
     out = NumericEndo.__new__(NumericEndo)
     out.algebra = alg
     out._rows = rows

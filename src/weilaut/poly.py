@@ -366,23 +366,23 @@ class Polynomial:
     def evaluate(self, values):
         """Evaluate at scalars; every used variable must be given.
 
-        Only the variables that occur in a term are looked up in values, so
-        the cost does not grow with the number of variables of the ring.
+        Only the variables that occur in a term are looked up in values, and
+        each term visits only its nonzero exponents, so the cost does not
+        grow with the number of variables of the ring.
         """
         names = self.ring.vars
-        powers = {}  # variable position -> [1, x, x^2, ...]
+        powers = {}  # variable name -> [1, x, x^2, ...]
         acc = self.ring.domain.coerce(0)
         for e, c in self.terms.items():
             t = c
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                row = powers.get(i)
+            # the variables with a nonzero exponent, paired with it
+            for v, k in zip(compress(names, e), filter(None, e)):
+                row = powers.get(v)
                 if row is None:
-                    x = values.get(names[i])
+                    x = values.get(v)
                     if x is None:
-                        raise PolyError("no value for %s" % names[i])
-                    row = powers[i] = [1, x]
+                        raise PolyError("no value for %s" % v)
+                    row = powers[v] = [1, x]
                 while len(row) <= k:
                     row.append(row[-1] * row[1])
                 t = t * row[k]

@@ -32,10 +32,11 @@ class FieldError(ArithmeticError):
 
 def rational(x):
     """The one form of a rational value: an int when it is integral, else a
-    Fraction."""
+    Fraction. A Fraction argument is not rebuilt."""
     if x.__class__ is int:
         return x
-    x = Fraction(x)
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 

@@ -75,6 +75,7 @@ class WeilAlgebra:
         "nil_power_indices",
         "nilpotency_order",
         "_integral",
+        "_product_groups",
     )
 
     def basis_names(self):
@@ -171,6 +172,7 @@ def build_algebra(spec):
     alg.structure_pairs = tuple(pairs_table)
     alg.nil_indices = tuple(range(1, alg.dim))
     alg._integral = None
+    alg._product_groups = None  # filled by endo.product_groups
 
     # span: the basis monomials spanning m^(s+1), from m^(r+1) = 0
     span = set()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from weilaut.parsing import parse_specfile
-from weilaut.weil import build_algebra, integral_copy
+from weilaut.weil import WeilError, build_algebra, integral_copy
 from weilaut.endo import (
     EndoError,
     constraint_system,
@@ -24,6 +24,7 @@ from weilaut.solver import solve
 from weilaut.specdata import spec_path
 
 from oracles import degree_one, identity_point, matmul, numeric_product_check, principal
+from test_weil import both_precedences, corpus_and_scaled, random_spec_texts
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus.alg")
 
@@ -361,10 +362,11 @@ def test_numeric_instantiate_with_fractional_structure_constants():
 
 
 def family_points(endo, rng, count):
-    """Points of the solver's rational families, free values with denominators up to 3."""
+    """Points of the solver's rational families, free values with denominators
+    up to 3; none when no family is rational."""
     families = [f for f in solve(constraint_system(endo)).families if f.ring.domain is QQ]
     points = []
-    while len(points) < count:
+    while families and len(points) < count:
         fam = families[len(points) % len(families)]
         vals = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for v in fam.free}
         if any(vals[v] == 0 for v in fam.nonzero) or any(c.evaluate(vals) == 0 for c in fam.conditions):
@@ -375,8 +377,39 @@ def family_points(endo, rng, count):
     return points
 
 
-@pytest.mark.parametrize("name", ["tangent2", "quartic", "sextic", "tan4"])
+def widened_algebras(name):
+    """The algebras of corpus_and_scaled() or of a seeded batch of
+    random_spec_texts at both precedences, skipping those build_algebra
+    rejects."""
+    if name == "corpus_and_scaled":
+        specs = corpus_and_scaled()
+    else:
+        specs = both_precedences([s for text in random_spec_texts(22, 5) for s in parse_specfile(text)])
+    for spec in specs:
+        try:
+            yield build_algebra(spec)
+        except WeilError:
+            continue
+
+
+@pytest.mark.parametrize(
+    "name", ["tangent2", "quartic", "sextic", "tan4", "corpus_and_scaled", "random_spec_texts"]
+)
 def test_numeric_instantiate_matches_the_oracle(name):
+    if name in ("corpus_and_scaled", "random_spec_texts"):
+        # generic points with int values keep the oracle's Fraction
+        # arithmetic cheap; the family point has fractional values
+        for alg in widened_algebras(name):
+            e = generic_endo(alg)
+            rng = random.Random(41 + alg.dim)
+            points = [identity_point(e), linear_point(e, {v: {} for v in alg.ring.vars})]
+            points += [{u: rng.randint(-4, 4) for u in e.unknowns} for _ in range(2)]
+            points += family_points(e, rng, 1)
+            outcomes = [assert_matches_the_oracle(e, point) for point in points]
+            assert outcomes[0].is_automorphism
+            assert outcomes[1].is_homomorphism and not outcomes[1].is_automorphism
+            assert all(n.is_automorphism for n in outcomes[4:])
+        return
     if name == "tan4":
         with open(CORPUS) as fh:
             alg = build_algebra(next(s for s in parse_specfile(fh.read()) if s.name == name))

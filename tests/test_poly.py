@@ -99,6 +99,14 @@ def test_substitute_matches_evaluate():
         assert s.constant_value() == p.evaluate({"X": vx, "Y": vy})
 
 
+def test_evaluate_reads_only_the_variables_that_occur():
+    r = PolyRing(tuple("V%d" % k for k in range(60)), QQ)
+    p = r.var("V7") ** 2 * r.var("V42") * 3
+    assert p.evaluate({"V7": 2, "V42": Fraction(1, 2)}) == 6
+    with pytest.raises(PolyError, match="^no value for V42$"):
+        p.evaluate({"V7": 2})
+
+
 def test_substitute_polynomial():
     r = xy_ring()
     X, Y = r.var("X"), r.var("Y")

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,21 @@ def test_qq_coerce_gives_the_one_rational_form():
     assert QQ.coerce(Fraction(1, 3)) == Fraction(1, 3)
     assert type(QQ.coerce(Fraction(1, 3))) is Fraction
     assert type(rational(True)) is int
+
+
+def test_rational_keeps_a_fraction_and_converts_the_rest():
+    third = Fraction(1, 3)
+    assert rational(third) is third
+    whole = rational(Fraction(6, 2))
+    assert whole == 3 and type(whole) is int
+    others = (
+        (5, 5), (True, 1), ("3", 3), ("-2/6", Fraction(-1, 3)), (0.5, Fraction(1, 2)), (Decimal("1.5"), Fraction(3, 2))
+    )
+    for x, want in others:
+        got = rational(x)
+        assert got == want and type(got) is type(want)
+    with pytest.raises(ValueError):
+        rational("x")
 
 
 def test_generator_cube_is_four():
