@@ -13,7 +13,8 @@ shipped one exactly (variables, order, relations, precedence); otherwise
 the unknown names would not line up and the comparison would be nonsense.
 """
 
-from .endo import extend_to_matrix, relation_label, substitute
+# substitute is unused here but stays importable: bench/tracer.py patches published.substitute
+from .endo import extend_to_matrix, relation_label, specialize, substitute  # noqa: F401
 from .parsing import parse_polynomial
 from .solver import component_count
 
@@ -212,9 +213,13 @@ def build_discrepancies(data, endo, system, result):
 
     Items are dicts {where, printed, derived}; the order is fixed
     (equations, then matrices, then determinants, then the component count)
-    so reports are reproducible byte for byte.
+    so reports are reproducible byte for byte. A printed family is staged as
+    report.family_determinants stages a solved one: its bindings go into the
+    variable images, which are then extended, and det M is taken through
+    the graded pieces.
     """
     ring = endo.ring
+    pieces = endo.algebra.graded_pieces()
     items = []
 
     if "system_printed" in data:
@@ -252,7 +257,9 @@ def build_discrepancies(data, endo, system, result):
         stage = {
             k: parse_polynomial(v, ring) for k, v in ref["bindings"].items()
         }
-        full = substitute(extend_to_matrix(endo), stage)
+        # substitution is a ring homomorphism, so this is the generic matrix
+        # with the bindings substituted, entry for entry
+        full = extend_to_matrix(specialize(endo, ring, stage))
         if ref["labels"] != full.labels:
             continue
         for i, label_row in enumerate(ref["labels"]):
@@ -268,7 +275,7 @@ def build_discrepancies(data, endo, system, result):
                 })
         if "det_full" in ref:
             printed_det = parse_polynomial(ref["det_full"], ring)
-            eng_det = full.det()
+            eng_det = full.det(pieces)
             if eng_det != printed_det:
                 items.append({
                     "where": "det of the nilpotent-block matrix",
@@ -277,7 +284,7 @@ def build_discrepancies(data, endo, system, result):
                 })
         if "det_linear" in ref:
             printed_det1 = parse_polynomial(ref["det_linear"], ring)
-            eng_det1 = full.block(endo.algebra.graded_pieces()[0]).det()
+            eng_det1 = full.block(pieces[0]).det()
             if eng_det1 != printed_det1:
                 items.append({
                     "where": "det of the degree-one block",

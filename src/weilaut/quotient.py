@@ -3,7 +3,10 @@
 The ideals here always contain every monomial of total degree r + 1, which
 keeps the quotient finite-dimensional and Buchberger trivially terminating.
 Coefficients are rational. Every reduction, in Buchberger and in normal
-forms, is the remainder of Polynomial.divide by the basis.
+forms, is the remainder of Polynomial.divide by the basis. The basis carries
+its normal-form table: a GroebnerBasis divides every monomial of degree <= r
+once when it is built, at the end of buchberger, and the standard monomials
+are read off that table, as the monomials that are their own normal form.
 """
 
 from itertools import combinations
@@ -30,12 +33,14 @@ class IdealPresentation:
 
 
 class GroebnerBasis:
-    __slots__ = ("ring", "elements", "truncation_order")
+    __slots__ = ("ring", "elements", "truncation_order", "normal_forms")
 
     def __init__(self, ring, elements, truncation_order):
         self.ring = ring
         self.elements = tuple(elements)
         self.truncation_order = truncation_order
+        exps = monomials(len(ring.vars), 0, truncation_order)
+        self.normal_forms = {e: normal_form(ring.monomial(e), self) for e in exps}
 
 
 def _divides(e1, e2):
@@ -72,17 +77,10 @@ def buchberger(ideal):
             basis.append(s.monic())
             k = len(basis) - 1
             pairs.extend((t, k) for t in range(k))
-    # minimalize: drop elements whose lead is divisible by another lead
-    keep = []
-    for i, g in enumerate(basis):
-        li = g.leading()[0]
-        if any(
-            _divides(basis[j].leading()[0], li)
-            for j in range(len(basis))
-            if j != i and (j < i or basis[j].leading()[0] != li)
-        ):
-            continue
-        keep.append(g)
+    # minimalize: drop elements whose lead is divisible by another lead; each
+    # element entered reduced by those before it, so only a later lead can
+    leads = [g.leading()[0] for g in basis]
+    keep = [g for i, g in enumerate(basis) if not any(_divides(lj, leads[i]) for lj in leads[i + 1 :])]
     # tail-reduce each against the others
     final = []
     for i, g in enumerate(keep):
@@ -99,20 +97,16 @@ def normal_form(p, gb):
 
 
 def standard_monomials(gb):
-    """Monomials of degree <= r outside the leading-term ideal, ascending."""
-    ring, r = gb.ring, gb.truncation_order
-    leads = [g.leading()[0] for g in gb.elements]
-    out = [e for e in monomials(len(ring.vars), 0, r) if not any(_divides(le, e) for le in leads)]
-    out.sort(key=ring.order.key)
-    return out
+    """Monomials of degree <= r outside the leading-term ideal, ascending:
+    those that are their own normal form."""
+    return sorted((e for e, f in gb.normal_forms.items() if e in f.terms), key=gb.ring.order.key)
 
 
 def nf_table(gb):
     """Normal form of every monomial of degree <= r (the truncation order).
 
-    Returns a dict exponent tuple -> Polynomial supported on standard
-    monomials. Every monomial of degree >= r + 1 lies in the ideal, so a
-    product of basis monomials missing from the table is zero.
+    Returns the basis's table, a dict exponent tuple -> Polynomial supported
+    on standard monomials. Every monomial of degree >= r + 1 lies in the
+    ideal, so a product of basis monomials missing from the table is zero.
     """
-    ring, r = gb.ring, gb.truncation_order
-    return {e: normal_form(ring.monomial(e), gb) for e in monomials(len(ring.vars), 0, r)}
+    return gb.normal_forms

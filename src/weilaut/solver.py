@@ -674,14 +674,28 @@ def solve(system, max_depth=MAX_DEPTH, branch_budget=BRANCH_BUDGET):
 
 
 def component_count(result):
-    """Number of connected components, when the families make it readable."""
+    """Number of connected components, when the families make it readable.
+
+    Every component of Aut(A) has dimension dim Aut, and a closed result
+    covers Aut(A), so only the families with the most free unknowns count:
+    a smaller one lies in the closure of those. Each of them gives 2^k,
+    k the number of its nonzero unknowns that divide its det1
+    (nondeg_value), one component per sign pattern of those factors; a
+    guard that does not divide det1 marks where the solver split, not a
+    boundary between components. The count is "undetermined" on a residual
+    or when one of those families has a condition.
+    """
     if result.residuals:
         return "undetermined"
+    top = max((len(fam.free) for fam in result.families), default=0)
     total = 0
     for fam in result.families:
+        if len(fam.free) < top:
+            continue
         if fam.conditions:
             return "undetermined"
-        total += 2 ** len(fam.nonzero)
+        content = fam.nondeg_value.content_exps()
+        total += 2 ** sum(1 for u in fam.nonzero if content[fam.ring.index[u]])
     return total
 
 

@@ -214,6 +214,23 @@ def test_nf_table_matches_normal_form():
             assert v == normal_form(ring.monomial(e), gb)
 
 
+def divides(e1, e2):
+    return all(a <= b for a, b in zip(e1, e2))
+
+
+def test_standard_monomials_are_those_no_lead_divides():
+    # the leading-term definition is the reference for reading the standard
+    # monomials off the normal-form table
+    for _, gb in presentation_gbs():
+        ring, r = gb.ring, gb.truncation_order
+        leads = [g.leading()[0] for g in gb.elements]
+        want = [e for e in monomials(len(ring.vars), 0, r) if not any(divides(le, e) for le in leads)]
+        assert standard_monomials(gb) == sorted(want, key=ring.order.key)
+        # the basis is minimal: no leading monomial divides or equals another,
+        # although minimalization tests each lead only against later ones
+        assert not any(divides(a, b) for i, a in enumerate(leads) for j, b in enumerate(leads) if i != j)
+
+
 def test_division_refuses_a_basis_under_another_order():
     # X*Z + X*Y leads with X*Z under Z > Y > X; dividing a polynomial of the
     # default order by it would put X*Y in the remainder and then overwrite it

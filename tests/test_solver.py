@@ -208,7 +208,9 @@ def test_content_split_guards_the_complement():
             "1",
         ),
     ]
-    assert component_count(res) == 3
+    # both families have two free unknowns; U != 0 does not divide det1 = 1,
+    # so it marks the split, not a sign of a component
+    assert component_count(res) == 2
 
 
 def test_a_clique_of_products_splits_in_one_step():
@@ -235,7 +237,8 @@ def test_a_clique_of_products_splits_in_one_step():
             zeros_f = {k for k, v in f.bindings.items() if not v}
             zeros_g = {k for k, v in g.bindings.items() if not v}
             assert zeros_f & set(g.nonzero) or zeros_g & set(f.nonzero)
-    assert component_count(res) == 7
+    # only the three one-unknown families count, and no guard divides det1 = 1
+    assert component_count(res) == 3
 
 
 def test_two_unknowns_take_the_content_split():
@@ -278,7 +281,8 @@ def test_quadratic_split_guards_only_the_minus_branch():
     assert plus.nonzero == ()
     assert minus.path == ("2*V != 0", "U = -V")
     assert minus.nonzero == ("V",)
-    assert component_count(res) == 3
+    # V != 0 does not divide det1 = 1: one component per family
+    assert component_count(res) == 2
 
 
 def test_univariate_even_power_splits_into_both_roots():
@@ -641,6 +645,24 @@ def test_tan5o2_closes_within_the_default_budget():
     assert all(len(f.nonzero) == 5 and not f.conditions for f in res.families)
     assert component_count(res) == 3840
     assert overall_det1_image([classify_det1(f) for f in res.families]) == "R\\{0}"
+
+
+FOUND_CASE = "algebra found { vars: X, Y, Z; order: 3; relations: X*Y*Z, Y*Z^2; }"
+
+
+@pytest.mark.parametrize("precedence", [None, ("Z", "Y", "X")], ids=["declared", "ZYX"])
+def test_component_count_reads_top_families_and_det1_factors(precedence):
+    # at the declared precedence the solver splits on A != 0, which does not
+    # divide det1 = C*T*M1, and leaves a family of 45 free unknowns next to
+    # one of 46 (= dim Der): counting every nonzero unknown of every family
+    # would read 16 + 8 = 24 here and 8 at Z > Y > X
+    spec = parse_specfile(FOUND_CASE)[0]
+    if precedence:
+        spec = spec.with_precedence(precedence)
+    res = analyze(spec).result
+    assert res.closed()
+    assert max(len(f.free) for f in res.families) == 46
+    assert component_count(res) == 8
 
 
 def test_sextic_closes_to_one_component(sextic_result):
