@@ -165,6 +165,11 @@ def build_report(analysis):
     data = analysis.reference
 
     families = [_family_json(f) for f in result.families]
+    det1_image = overall_det1_image([f["det1_image"] for f in families])
+    # an open residual may hold automorphisms the families miss; R\{0} stays
+    # exact, since det1 != 0 bounds every image from above
+    if result.residuals and det1_image != "R\\{0}":
+        det1_image = "undetermined"
     constraints = {
         "derived": [
             {
@@ -200,9 +205,7 @@ def build_report(analysis):
             "reference": _reference_determinants(data, result.families),
         },
         "components": component_count(result),
-        "det1_image": overall_det1_image(
-            [f["det1_image"] for f in families]
-        ),
+        "det1_image": det1_image,
         "discrepancies": build_discrepancies(data, endo, system, result)
         if data
         else [],

@@ -1,19 +1,20 @@
 """Case-splitting solver for automorphism constraint systems.
 
 A branch carries the residual equations, the accumulated bindings, and the
-nonzero hypotheses (guards) introduced by case splits. Deterministic rules
+nonzero hypotheses (guards) introduced by case splits, normalized and keyed
+by rendering, so a repeated hypothesis is recorded once. Deterministic rules
 shrink a branch (substituting forced bindings); splitting rules fan out into
 complementary subcases, each described by a spec (path atoms, guards,
-bindings) that _child turns into a branch. _child substitutes the bindings
-into the invertibility polynomial first, so a child on which it vanishes
-dies at birth: solve() records it as a contradiction and never queues it or
+bindings). One maker, _child, builds every branch a step leads to, a rule
+step as well as a split child. It substitutes the bindings into the
+invertibility polynomial first, so a split child on which it vanishes dies
+at birth: solve() records it as a contradiction and never queues it or
 charges it to the branch budget. The first split rule takes a clique of
 products (u*v = 0 for every two unknowns of a set S) apart in one step,
 into one child per unknown of S left nonzero and one with all of S zero;
-the content split would take |S| - 1 levels. A branch's guards are one dict
-keyed by rendering, so a repeated hypothesis is recorded once. The finite
-split and close_branch, which finishes small residual systems, take the real
-values of one unknown from one routine, _real_values: it eliminates a second
+the content split would take |S| - 1 levels. The finite split and
+close_branch, which finishes small residual systems, take the real values
+of one unknown from one routine, _real_values: it eliminates a second
 unknown by a resultant and finds the real roots of the gcd exactly, on the
 coefficient lists of scalar.py's univariate kernel. Inside solve(),
 close_branch only labels a residual, since the finite split has just failed
@@ -63,18 +64,16 @@ class Branch:
         self.equations = list(equations)
         self.nondeg = nondeg
         self.bindings = dict(bindings)
-        # the hypotheses g != 0, keyed by rendering, in the order they arose
-        self.guards = {repr(g): g for g in guards}
+        # the hypotheses g != 0, normalized, keyed by rendering, in the order
+        # they arose
+        self.guards = {}
+        for g in guards:
+            _push_guard(g, self.guards)
         self.path = tuple(path)
         self.splits = splits
 
     def guard_vars(self):
         return _split_guards(self.guards.values())[0]
-
-    def copy(self):
-        out = Branch(self.ring, self.equations, self.nondeg, self.bindings, (), self.path, self.splits)
-        out.guards = dict(self.guards)
-        return out
 
 
 def _split_guards(guards):
@@ -191,50 +190,36 @@ def _push_guard(g, guards):
         guards.setdefault(repr(g), g)
 
 
-def _bind(br, sub, *atoms):
-    """Substitute the bindings sub (name -> value) everywhere at once and
-    append atoms to the path.
+def _child(br, path, sub, guards=(), split=False):
+    """The one maker of the branch a step leads to: br on the given path,
+    under the new hypotheses g != 0 for g in guards, with the bindings sub
+    (name -> value) substituted everywhere at once; split counts the child
+    as one more split.
 
-    Guards on a bound name are transferred. A guard without one comes back
-    from substitute as itself and is already normalized, so only its repeat
-    check is needed.
+    A split child whose invertibility polynomial the bindings make zero dies
+    here, before anything else is substituted, so it is never queued; a rule
+    step leaves that check to _simplify. The new guards follow the parent's,
+    and each is substituted in that order. Every branch holds normalized
+    guards, so one that comes back from substitute as itself needs only its
+    repeat check.
     """
-    out = br.copy()
-    out.path = br.path + atoms
-    out.bindings = {k: v.substitute(sub) for k, v in br.bindings.items()}
-    out.bindings.update(sub)
-    out.equations = [p.substitute(sub) for p in br.equations]
-    out.nondeg = br.nondeg.substitute(sub)
-    out.guards = {}
-    for g in br.guards.values():
+    nondeg = br.nondeg.substitute(sub)
+    if split and nondeg.is_zero():
+        raise ContradictionSignal(NONDEG_VANISHED, _NONDEG_DETAIL)
+    hyps = dict(br.guards)
+    for g in guards:
+        _push_guard(g, hyps)
+    bindings = {k: v.substitute(sub) for k, v in br.bindings.items()}
+    bindings.update(sub)
+    equations = [p.substitute(sub) for p in br.equations]
+    child = Branch(br.ring, equations, nondeg, bindings, (), path, br.splits + split)
+    for g in hyps.values():
         h = g.substitute(sub)
         if h is g:
-            out.guards.setdefault(repr(g), g)
+            child.guards.setdefault(repr(g), g)
         else:
-            _push_guard(h, out.guards)
-    return out
-
-
-def _child(br, path, guards, sub):
-    """The one maker of split children: br on the given path, under the
-    hypotheses g != 0 for g in guards, then the bindings sub, if any, as one
-    substitution.
-
-    A child whose invertibility polynomial the bindings make zero dies here,
-    before its equations, bindings and guards are substituted, so it is
-    never queued.
-    """
-    child = br.copy()
-    child.splits += 1
-    child.path = path
-    if sub:
-        # _bind's own substitution into nondeg then returns it untouched
-        child.nondeg = br.nondeg.substitute(sub)
-        if child.nondeg.is_zero():
-            raise ContradictionSignal(NONDEG_VANISHED, _NONDEG_DETAIL)
-    for g in guards:
-        _push_guard(g, child.guards)
-    return _bind(child, sub) if sub else child
+            _push_guard(h, child.guards)
+    return child
 
 
 def _residual(br, reason):
@@ -252,7 +237,7 @@ def _rule_single_term(br):
     for p in br.equations:
         if len(p.terms) == 1 and len(p.vars_used()) == 1:
             u, = p.vars_used()
-            return _bind(br, {u: br.ring.zero()}, "%s = 0" % u)
+            return _child(br, br.path + ("%s = 0" % u,), {u: br.ring.zero()})
     return None
 
 
@@ -287,7 +272,7 @@ def _rule_power_bind(br):
         root = kth_root_in_field(domain, d, k)
         if root is not None:
             value = br.ring.var(earlier) * root
-            return _bind(br, {later: value}, "%s = %r" % (later, value))
+            return _child(br, br.path + ("%s = %r" % (later, value),), {later: value})
         if domain is not QQ or _divisors(k) != [1, k]:
             continue
         if abs(d) < 1:
@@ -295,23 +280,18 @@ def _rule_power_bind(br):
         else:
             src, dst = earlier, later
         mag = abs(d)
-        field = ExtensionField(
-            tuple([-mag] + [0] * (k - 1) + [1]), (0, mag + 1)
-        )
+        field = ExtensionField(tuple([-mag] + [0] * (k - 1) + [1]), (0, mag + 1))
         ring = PolyRing(br.ring.vars, field)
+        lift = ring.lift
+        bindings = {v: lift(p) for v, p in br.bindings.items()}
+        guards = map(lift, br.guards.values())
         lifted = Branch(
-            ring,
-            [ring.lift(p) for p in br.equations],
-            ring.lift(br.nondeg),
-            {k: ring.lift(v) for k, v in br.bindings.items()},
-            [ring.lift(g) for g in br.guards.values()],
-            br.path,
-            br.splits,
+            ring, map(lift, br.equations), lift(br.nondeg), bindings, guards, br.path, br.splits
         )
         sign = -1 if d < 0 else 1
         value = ring.var(src) * (field.gen() * sign)
         atom = "adjoin c, c^%d = %s; %s = %r" % (k, mag, dst, value)
-        return _bind(lifted, {dst: value}, atom)
+        return _child(lifted, br.path + (atom,), {dst: value})
     return None
 
 
@@ -333,7 +313,7 @@ def _rule_linear_bind(br):
     inv = field_div(-1, c)
     # the terms of p without u, negated, over c
     value = Polynomial(br.ring, {e: v * inv for e, v in p.terms.items() if not e[i]})
-    return _bind(br, {u: value}, "%s = %r" % (u, value))
+    return _child(br, br.path + ("%s = %r" % (u, value),), {u: value})
 
 
 def _simplify(br):
@@ -404,7 +384,7 @@ def _split_content(br):
         if not w.is_constant():
             # once every ui is guarded, normalization strips p down to w
             atom = "%s != 0; %r = 0" % (", ".join(us), w)
-            specs.append(((atom,), [br.ring.var(v) for v in us], None))
+            specs.append(((atom,), [br.ring.var(v) for v in us], {}))
         return specs
     return None
 
@@ -590,7 +570,7 @@ def close_branch(br):
     for r in values:
         atom = "%s = %s" % (u, r)
         try:
-            child = _simplify(_bind(br, {u: br.ring.const(r)}, atom))
+            child = _simplify(_child(br, br.path + (atom,), {u: br.ring.const(r)}))
         except ContradictionSignal as c:
             rejected.append("%s (%s)" % (atom, c.reason))
             continue
@@ -609,12 +589,9 @@ def make_family(br):
     nd = br.nondeg
     if nd.is_zero():
         raise ContradictionSignal(NONDEG_VANISHED, "family without invertible members")
-    conditions = {}
-    pool = list(br.guards.values())
-    if not nd.is_constant():
-        pool.append(nd)
-    for g in pool:
-        _push_guard(g, conditions)
+    # the guards are normalized, and a constant det1 pushes nothing
+    conditions = dict(br.guards)
+    _push_guard(nd, conditions)
     nonzero, kept = _split_guards(conditions.values())
     free = [v for v in br.ring.vars if v not in br.bindings]
     return SolutionFamily(
@@ -667,7 +644,7 @@ def solve(system, max_depth=MAX_DEPTH, branch_budget=BRANCH_BUDGET):
             path = br.path + atoms
             try:
                 # a child that dies at birth is recorded, never queued
-                queue.append(_child(br, path, guards, sub))
+                queue.append(_child(br, path, sub, guards, split=True))
             except ContradictionSignal as c:
                 contradictions.append(Contradiction(path, c.reason, c.detail))
     return SolveResult(families, contradictions, residuals)

@@ -163,6 +163,26 @@ def test_depth_limited_report_is_undetermined():
     assert rep["residuals"][0]["reason"] == "branch depth limit"
 
 
+# random_spec_texts(1, 225)[155] of test_weil.py
+OPEN_POSITIVE = (
+    "algebra r1_155 { vars: X, Y; order: 5; "
+    "relations: 2*X^3*Y^1 + 3*Y^4, 2*X^2*Y^2 + 3*X^4, -2*X^2*Y^3; }"
+)
+
+
+@pytest.mark.parametrize("precedence", [None, ("Y", "X")], ids=["declared", "YX"])
+def test_an_open_residual_leaves_a_one_sided_det1_image_undetermined(precedence):
+    # the one family has det1 > 0, but the residual may hold automorphisms
+    # with det1 < 0, so only R\{0} could be read off the families
+    spec = parse_specfile(OPEN_POSITIVE)[0]
+    if precedence:
+        spec = spec.with_precedence(precedence)
+    rep = build_report(analyze(spec))
+    assert [f["det1_image"] for f in rep["families"]] == ["(0,inf)"]
+    assert [r["reason"] for r in rep["residuals"]] == ["no finishing rule for 10 unknowns"]
+    assert rep["det1_image"] == "undetermined"
+
+
 def test_extension_field_family_serializes():
     ring = PolyRing(("U", "V"), QQ)
     U, V = ring.var("U"), ring.var("V")

@@ -30,6 +30,7 @@ from weilaut.solver import (
     _split_clique,
     classify_det1,
     close_branch,
+    make_family,
     component_count,
     solve,
 )
@@ -87,6 +88,17 @@ def family_summary(fam):
 
 
 # -- small synthetic systems, one per rewriting rule -------------------------
+
+
+def test_a_branch_normalizes_the_guards_it_is_given():
+    # A*B*(C + D) != 0 is recorded as its factors, and 2*A != 0 as A
+    ring = PolyRing(("A", "B", "C", "D"), QQ)
+    A, B, C, D = (ring.var(n) for n in "ABCD")
+    br = Branch(ring, [], ring.one(), {}, [A * B * (C + D), 2 * A], (), 0)
+    assert list(br.guards) == ["A", "B", "C + D"]
+    fam = make_family(br)
+    assert fam.nonzero == ("A", "B")
+    assert [repr(g) for g in fam.conditions] == ["C + D"]
 
 
 def test_linear_bind_prefers_latest_unknown():
@@ -465,6 +477,22 @@ def test_rational_roots_of_an_int_coefficient_list():
     roots, complete = _exact_real_roots([0, -1, 0, 4], QQ)
     assert roots == [Fraction(-1, 2), 0, Fraction(1, 2)] and complete
     assert [type(r) for r in roots] == [Fraction, int, Fraction]
+
+
+def test_pure_power_roots_over_an_extension():
+    # a*u^m + b has the candidates +-(-b/a)^(1/m) when the root lies in the
+    # field; over Q[c] with c^3 = 4 no rational candidate is a root
+    field = ExtensionField((-4, 0, 0, 1), (1, 2))
+    c = field.gen()
+    assert _exact_real_roots([-4, 0, 0, 1], field) == ([c], True)
+    assert _exact_real_roots([-16, 0, 0, 0, 0, 0, 1], field) == ([-c, c], True)
+    ring = PolyRing(("U",), field)
+    U = ring.var("U")
+    res = solve(tiny_system(ring, [U**3 - 4], ring.one()))
+    fam, = res.families
+    assert fam.path == ("U = c",)
+    assert fam.bindings == {"U": ring.const(c)}
+    assert res.residuals == [] and res.contradictions == []
 
 
 def test_close_branch_finishes_each_root_child():

@@ -223,7 +223,7 @@ NOT_SPANNED = "nilradical power is not spanned by basis monomials"
 IN_SQUARE = "a degree-one basis element lies in the square of the nilradical"
 
 # presentations whose nil powers build_algebra rejects, with its message at
-# both precedences; a filtration-adapted basis (ROADMAP item 4) is to mend
+# both precedences; a filtration-adapted basis (ROADMAP item 6) is to mend
 # the first two, which are the sextic and the cusp after X -> X + Y
 NIL_POWER_LEDGER = (
     ("algebra sextic_xy { vars: X, Y; order: 6; relations: (X + Y)^3 + Y^4, (X + Y)^4 + Y^5; }", NOT_SPANNED),
@@ -312,7 +312,7 @@ def scoreboard():
 
 
 if __name__ == "__main__":
-    # the scoreboard of ROADMAP item 3: PYTHONPATH=src python tests/test_weil.py
+    # the scoreboard of ROADMAP item 4: PYTHONPATH=src python tests/test_weil.py
     start = time.perf_counter()
     tally, crashes = scoreboard()
     for kind in SCOREBOARD:
