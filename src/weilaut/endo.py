@@ -160,13 +160,15 @@ class SymbolicMatrix:
         check_block_triangular(self.entries, pieces)
         n = len(pieces[0])
         power = 0
-        rest = self.ring.one()
+        rest = None  # the product of the Bareiss pieces' determinants
         for d, piece in enumerate(pieces, start=1):
             if len(piece) == comb(n + d - 1, d):
                 power += symmetric_power_exponent(n, d)
             else:
-                rest = rest * self.block(piece).det()
-        return self.block(pieces[0]).det() ** power * rest
+                det = self.block(piece).det()
+                rest = det if rest is None else rest * det
+        out = self.block(pieces[0]).det() ** power
+        return out if rest is None else out * rest
 
     def block(self, positions):
         """The principal submatrix on the given positions."""

@@ -3,6 +3,10 @@
 Works over any commutative domain whose elements support +, -, * and
 truthiness for zero tests. Division is injected where needed so the same
 routines serve Fraction, FieldElement and Polynomial entries.
+
+The determinant kernel is sparse: a zero entry costs a truth test and no
+arithmetic, so a monomial matrix (one nonzero per row) is eliminated with
+no product or division of a zero.
 """
 
 from .scalar import field_div
@@ -13,7 +17,17 @@ class LinalgError(ArithmeticError):
 
 
 def bareiss_determinant(rows, exact_div):
-    """Fraction-free determinant. exact_div(a, b) must divide exactly."""
+    """Fraction-free determinant (Bareiss, Math. Comp. 22, 1968).
+
+    exact_div(a, b) must divide exactly. Step k sets each entry below and
+    right of the pivot p to (a*p - f*b) / prev, f the row's entry in column
+    k, b the pivot row's in column j and prev the previous pivot. The
+    product f*b is skipped when either factor is zero, an entry that is
+    zero and gets no such product stays zero with no arithmetic, and a zero
+    numerator is never divided. A nonzero entry of a row whose f is zero is
+    still scaled to a*p / prev: after step k, entry (i, j) is the minor on
+    rows 0..k, i and columns 0..k, j, whatever f is.
+    """
     n = len(rows)
     if n == 0:
         raise LinalgError("empty matrix")
@@ -33,12 +47,22 @@ def bareiss_determinant(rows, exact_div):
                     break
             else:
                 return zero
+        pivot_row = m[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
+            row = m[i]
+            f = row[k]
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num if prev is None else exact_div(num, prev)
-            m[i][k] = zero
-        prev = m[k][k]
+                a = row[j]
+                b = pivot_row[j] if f else None
+                if b:
+                    num = a * pivot - f * b if a else -(f * b)
+                elif a:
+                    num = a * pivot
+                else:
+                    continue
+                row[j] = exact_div(num, prev) if num and prev is not None else num
+        prev = pivot
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
 

@@ -26,8 +26,10 @@ leaves alone.
 
 Multivariate division has one implementation, divide: it returns the
 quotients and the remainder by a list of divisors in one pass. exact_div is
-division by one divisor with a zero remainder; the Groebner bases and normal
-forms of quotient.py are remainders by the basis.
+division by one divisor with a zero remainder; by a divisor of one term (a
+constant or c*m) it divides term by term instead, with no heap, and gives
+the quotient's terms in divide's order. The Groebner bases and normal forms
+of quotient.py are remainders by the basis.
 
 A univariate polynomial is a coefficient list, handled by scalar.py's
 kernel; univariate_coeffs is the one bridge to it from a Polynomial.
@@ -320,17 +322,17 @@ class Polynomial:
     def substitute(self, mapping):
         """Replace variables by polynomials (or scalars) of the same ring.
 
+        A polynomial that uses no variable of mapping (the zero polynomial
+        among them) is returned as it is, before any binding is looked at.
         Only bindings of variables that occur are coerced and powered. Terms
         are accumulated in the order a term-by-term sum of rest * powers
         would insert them, so the result's term order is reproducible.
         """
-        if not mapping or not self.terms:
+        used = self.vars_used()
+        if used.isdisjoint(mapping):
             return self
         ring = self.ring
-        used = self.vars_used()
         subs = [(ring.index[v], ring.coerce(p)) for v, p in mapping.items() if v in used]
-        if not subs:
-            return self
         pows = [{1: p} for _, p in subs]
         out = {}
 
@@ -530,13 +532,30 @@ class Polynomial:
         return tuple(Polynomial(ring, q) for q in quotients), Polynomial(ring, rem)
 
     def exact_div(self, other):
-        """Exact polynomial division; raises PolyError on a remainder."""
+        """Exact polynomial division; raises PolyError on a remainder.
+
+        A divisor of one term c*m (a constant when m is 1) divides term by
+        term, and a term that m does not divide raises PolyError. The
+        quotient's terms come largest first, the order divide gives, which
+        takes every other divisor.
+        """
         other = self.ring.coerce(other)
         if not other:
             raise ZeroDivisionError("exact_div by zero")
-        if other.is_constant():
-            inv = field_div(1, other.constant_value())
-            return self.map_coeffs(lambda v: v * inv)
+        if len(other.terms) == 1:
+            (lexps, lc), = other.terms.items()
+            inv = None if lc == 1 else field_div(1, lc)
+            shift = any(lexps)
+            terms = self.terms
+            out = {}
+            for e in sorted(terms, key=self.ring.order.key, reverse=True):
+                c = terms[e] if inv is None else terms[e] * inv
+                if shift:
+                    e = tuple(map(sub, e, lexps))
+                    if min(e) < 0:
+                        raise PolyError("division is not exact")
+                out[e] = c
+            return Polynomial(self.ring, out)
         (q,), r = self.divide((other,))
         if r:
             raise PolyError("division is not exact")

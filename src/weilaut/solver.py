@@ -351,7 +351,8 @@ def _split_clique(br):
             clique = clique or list(pair)
     if clique is None:
         return None
-    for k in range(len(br.ring.vars)):
+    # an unknown in no edge cannot be joined to the clique
+    for k in sorted(set().union(*edges)):
         if k not in clique and all((min(i, k), max(i, k)) in edges for i in clique):
             clique.append(k)
     if len(clique) < 3:

@@ -204,8 +204,7 @@ def test_exact_div_random_sparse(precedence):
         prod = p * q
         got = prod.exact_div(q)
         assert got == p
-        if not q.is_constant():
-            assert list(got.terms.items()) == list(divide_by_max_term(prod, q).terms.items())
+        assert list(got.terms.items()) == list(divide_by_max_term(prod, q).terms.items())
 
 
 def test_exact_div_extension_field():
@@ -218,6 +217,37 @@ def test_exact_div_extension_field():
             p = rand_poly(rng, r, 2, 3) + r.const(c) * rand_poly(rng, r, 2, 2)
             q = rand_poly(rng, r, 2, 2) * r.const(c * c) + r.var("A") - r.const(c)
             assert (p * q).exact_div(q) == p
+
+
+def test_exact_div_by_one_term():
+    """A one-term divisor c*m, c != 1, divides term by term and gives the
+    quotient in divide's order; a constant is the case m = 1."""
+    rng = random.Random(33)
+    F = cbrt4_field()
+    c = F.gen()
+    for field, coeff in ((QQ, Fraction(-3, 2)), (F, c * c - 1)):
+        for precedence in (None, ("B", "A")):
+            r = PolyRing(("A", "B"), field, precedence)
+            for _ in range(15):
+                p = rand_poly(rng, r, 3, rng.randrange(1, 7))
+                if field is F:
+                    p = p + r.const(c) * rand_poly(rng, r, 2, 3)
+                exps = (rng.randrange(3), rng.randrange(3))
+                for d in (r.monomial(exps, coeff), r.const(coeff)):
+                    prod = p * d
+                    got = prod.exact_div(d)
+                    (q,), rem = prod.divide((d,))
+                    assert got == p and not rem
+                    assert list(got.terms.items()) == list(q.terms.items())
+    r = xy_ring()
+    X, Y = r.var("X"), r.var("Y")
+    with pytest.raises(PolyError):
+        (X**2 + Y).exact_div(X)
+    with pytest.raises(PolyError):
+        (X**2 + Y).exact_div(-2 * X)
+    for zero in (0, r.zero()):
+        with pytest.raises(ZeroDivisionError):
+            (X + Y).exact_div(zero)
 
 
 def test_exact_div_rejects_a_remainder():
