@@ -8,20 +8,18 @@ complementary subcases, each described by a spec (path atoms, guards,
 bindings). One maker, _child, builds every branch a step leads to, a rule
 step as well as a split child. It substitutes the bindings into the
 invertibility polynomial first, so a split child on which it vanishes dies
-at birth: solve() records it as a contradiction and never queues it or
+at birth: the loop records it as a contradiction and never queues it or
 charges it to the branch budget. The first split rule takes a clique of
-products (u*v = 0 for every two unknowns of a set S) apart in one step,
-into one child per unknown of S left nonzero and one with all of S zero;
-the content split would take |S| - 1 levels. The finite split and
-close_branch, which finishes small residual systems, take the real values
-of one unknown from one routine, _real_values: it eliminates a second
-unknown by a resultant and finds the real roots of the gcd exactly, on the
-coefficient lists of scalar.py's univariate kernel. Inside solve(),
-close_branch only labels a residual, since the finite split has just failed
-on every plan it could finish; its finishing serves direct callers, such as
-acceptance criterion 3's beta branch. Guards arise only from split
-complements, never from the invertibility requirement, which instead kills a
-branch outright when it collapses to zero.
+products (u*v = 0 for every two unknowns of a set S) apart in one step, into
+one child per unknown of S left nonzero and one with all of S zero; the
+content split would take |S| - 1 levels. The finite split takes the real
+values of one unknown from _real_values, which eliminates a second unknown
+by a resultant and finds the real roots of the gcd exactly, on the
+coefficient lists of scalar.py's univariate kernel; it names the residual
+when no plan is finished. One loop, _run, serves solve() from a system's
+root branch and close_branch from any branch, guarded or bound. Guards arise
+only from split complements, never from the invertibility requirement, which
+instead kills a branch outright when it collapses to zero.
 """
 
 from functools import cmp_to_key, reduce
@@ -57,7 +55,7 @@ class ContradictionSignal(Exception):
 
 
 class Branch:
-    __slots__ = ("ring", "equations", "nondeg", "bindings", "guards", "path", "splits")
+    __slots__ = ("ring", "equations", "nondeg", "bindings", "guards", "path", "splits", "settled")
 
     def __init__(self, ring, equations, nondeg, bindings, guards, path, splits):
         self.ring = ring
@@ -71,6 +69,7 @@ class Branch:
             _push_guard(g, self.guards)
         self.path = tuple(path)
         self.splits = splits
+        self.settled = False  # no rule applies to the normalized equations
 
     def guard_vars(self):
         return _split_guards(self.guards.values())[0]
@@ -317,15 +316,18 @@ def _rule_linear_bind(br):
 
 
 def _simplify(br):
-    while True:
+    """br after every rule step; a settled branch comes back as it is."""
+    while not br.settled:
         # the rules rely on equations normalized under the branch's guards
         br.equations = _normalized_equations(br.equations, br.guard_vars())
         if br.nondeg.is_zero():
             raise ContradictionSignal(NONDEG_VANISHED, _NONDEG_DETAIL)
         nxt = _rule_single_term(br) or _rule_power_bind(br) or _rule_linear_bind(br)
         if nxt is None:
-            return br
-        br = nxt
+            br.settled = True
+        else:
+            br = nxt
+    return br
 
 
 def _split_clique(br):
@@ -434,13 +436,22 @@ def _split_quadratic(br):
                 continue
             specs = [(("%s = %r" % (u, plus),), [], {u: plus})]
             if not s.is_zero():
-                specs.append((("%r != 0" % s, "%s = %r" % (u, minus)), [s], {u: minus}))
+                # a constant root of the discriminant needs no hypothesis
+                guards = [] if s.is_constant() else [s]
+                hyps = tuple("%r != 0" % g for g in guards)
+                specs.append((hyps + ("%s = %r" % (u, minus),), guards, {u: minus}))
             return specs
     return None
 
 
 def _split_finite(br):
-    """Split on the finitely many values a subsystem allows for one unknown."""
+    """Split on the finitely many values a subsystem allows for one unknown.
+
+    Each value's child is simplified here, once, and one that dies becomes
+    its Contradiction; if all die, br has no real solution. Returns (kids,
+    None), or (None, reason) when no plan is finished: the reason of the plan
+    that holds every equation, or the count of unknowns when none does.
+    """
     eqvars = [(p, p.vars_used()) for p in br.equations]
     plans = []
     for u in br.ring.vars:
@@ -451,16 +462,30 @@ def _split_finite(br):
     for i, u in enumerate(present):
         for v in present[i + 1 :]:
             sub = [p for p, vs in eqvars if vs and vs <= {u, v}]
-            if len(sub) >= 2 and any(p.degree_in(v) > 0 for p in sub):
+            # with two unknowns left, this plan holds every equation
+            if (len(sub) >= 2 or len(present) == 2) and any(p.degree_in(v) > 0 for p in sub):
                 plans.append((u, sub, v))
+    label = "no finishing rule for %d unknowns" % len(present)
     for u, sub, v in plans:
-        values, reason = _real_values(br.ring, sub, u, v)
-        if reason:
+        values, how = _real_values(br.ring, sub, u, v)
+        if values is None:
+            if len(sub) == len(br.equations):
+                label = how
             continue
-        if not values:
-            raise ContradictionSignal(NO_REAL_SOLUTION, "no real value for %s" % u)
-        return [(("%s = %s" % (u, r),), [], {u: br.ring.const(r)}) for r in values]
-    return None
+        kids = _children(br, [(("%s = %s" % (u, r),), [], {u: br.ring.const(r)}) for r in values])
+        for k, kid in enumerate(kids):
+            if isinstance(kid, Branch):
+                try:
+                    kids[k] = _simplify(kid)
+                except ContradictionSignal as c:
+                    kids[k] = Contradiction(kid.path, c.reason, c.detail)
+        if any(isinstance(kid, Branch) for kid in kids):
+            return kids, None
+        rejected = "; ".join("%s (%s)" % (kid.path[-1], kid.reason) for kid in kids)
+        raise ContradictionSignal(
+            NO_REAL_SOLUTION, "%s; candidates: %s" % (how, rejected or "none real")
+        )
+    return None, label
 
 
 def _divisors(n):
@@ -520,11 +545,12 @@ def _exact_real_roots(coeffs, domain):
 def _real_values(ring, equations, u, v):
     """The real values of u that equations in u and v allow.
 
-    v, unless None, is eliminated by one resultant; the real roots of the
-    gcd of the equations left in u are then found exactly.
-    Returns (values, None), the values sorted and complete, or (None, reason).
+    v, unless None, is eliminated by one resultant, then the real roots of
+    the gcd of the equations left in u are found exactly. Returns (values,
+    how), sorted and complete values and how they were found, or (None, reason).
     """
     pool = equations
+    how = "solved for %s" % u
     if v is not None:
         pool = [p for p in equations if p.degree_in(v) == 0]
         with_v = [p for p in equations if p.degree_in(v) > 0]
@@ -533,6 +559,7 @@ def _real_values(ring, equations, u, v):
             if res.is_zero():
                 return None, "resultant in %s vanished" % v
             pool.append(res)
+            how = "eliminated %s by resultant, then %s" % (v, how)
         elif not pool:
             return None, "underdetermined pair in %s, %s" % (u, v)
     g = reduce(_ugcd_monic, (univariate_coeffs(p, u) for p in pool))
@@ -542,48 +569,14 @@ def _real_values(ring, equations, u, v):
         i = ring.index[u]
         terms = {zero[:i] + (d,) + zero[i + 1 :]: c for d, c in enumerate(g) if c}
         return None, "could not enumerate the roots of %r" % Polynomial(ring, terms)
-    return values, None
+    return values, how
 
 
 def close_branch(br):
-    """Finish a branch with at most two residual unknowns exactly.
-
-    Takes the real values of the earlier unknown u from _real_values (which
-    eliminates the later unknown v, if any), and finishes each value's child
-    the same way; a child has at most v left, so this recurses at most once.
-    Returns a list of leaves: families, contradictions, residuals. Called
-    from solve(), after _split_finite failed, it returns one Residual.
-    """
-    if not br.equations:
-        return [make_family(br)]
-    vs = set()
-    for p in br.equations:
-        vs |= p.vars_used()
-    vs = sorted(vs, key=br.ring.index.get)
-    if len(vs) > 2:
-        return [_residual(br, "no finishing rule for %d unknowns" % len(vs))]
-    u, v = vs[0], (vs[1] if len(vs) == 2 else None)
-    values, reason = _real_values(br.ring, br.equations, u, v)
-    if reason:
-        return [_residual(br, reason)]
-    leaves = []
-    rejected = []
-    for r in values:
-        atom = "%s = %s" % (u, r)
-        try:
-            child = _simplify(_child(br, br.path + (atom,), {u: br.ring.const(r)}))
-        except ContradictionSignal as c:
-            rejected.append("%s (%s)" % (atom, c.reason))
-            continue
-        leaves.extend(close_branch(child))
-    if leaves:
-        return leaves
-    if v is None:
-        how = "one unknown %s left" % u
-    else:
-        how = "eliminated %s by resultant, then solved for %s" % (v, u)
-    detail = "%s; candidates: %s" % (how, "; ".join(rejected) if rejected else "none real")
-    return [Contradiction(br.path, NO_REAL_SOLUTION, detail)]
+    """The leaves of the solve loop started from br, which may carry
+    guards and bindings: families, then contradictions, then residuals."""
+    res = _run([br], MAX_DEPTH, BRANCH_BUDGET)
+    return res.families + res.contradictions + res.residuals
 
 
 def make_family(br):
@@ -606,11 +599,20 @@ def make_family(br):
     )
 
 
-def solve(system, max_depth=MAX_DEPTH, branch_budget=BRANCH_BUDGET):
-    """Split the constraint system into families and dead branches."""
-    if len(system.nondegeneracy) != 1:
-        raise SolverError("expected a single invertibility polynomial")
-    queue = [Branch(system.ring, system.equations, system.nondegeneracy[0], {}, (), (), 0)]
+def _children(br, specs):
+    """Each spec's child: a Branch, or its Contradiction when det1 vanishes at birth."""
+    kids = []
+    for atoms, guards, sub in specs:
+        path = br.path + atoms
+        try:
+            kids.append(_child(br, path, sub, guards, split=True))
+        except ContradictionSignal as c:
+            kids.append(Contradiction(path, c.reason, c.detail))
+    return kids
+
+
+def _run(queue, max_depth, branch_budget):
+    """Simplify and split the queued branches, breadth first, into leaves."""
     families, contradictions, residuals = [], [], []
     spent = 0
     while queue:
@@ -627,28 +629,25 @@ def solve(system, max_depth=MAX_DEPTH, branch_budget=BRANCH_BUDGET):
             if br.splits >= max_depth:
                 residuals.append(_residual(br, "branch depth limit"))
                 continue
-            specs = (
-                _split_clique(br)
-                or _split_content(br)
-                or _split_quadratic(br)
-                or _split_finite(br)
-            )
+            specs = _split_clique(br) or _split_content(br) or _split_quadratic(br)
+            kids, reason = (_children(br, specs), None) if specs else _split_finite(br)
         except ContradictionSignal as c:
             contradictions.append(Contradiction(br.path, c.reason, c.detail))
             continue
-        if specs is None:
-            # _split_finite has just tried every plan close_branch could
-            # finish, so here close_branch only labels one residual
-            residuals.extend(close_branch(br))
+        if kids is None:
+            residuals.append(_residual(br, reason))
             continue
-        for atoms, guards, sub in specs:
-            path = br.path + atoms
-            try:
-                # a child that dies at birth is recorded, never queued
-                queue.append(_child(br, path, sub, guards, split=True))
-            except ContradictionSignal as c:
-                contradictions.append(Contradiction(path, c.reason, c.detail))
+        for kid in kids:
+            (queue if isinstance(kid, Branch) else contradictions).append(kid)
     return SolveResult(families, contradictions, residuals)
+
+
+def solve(system, max_depth=MAX_DEPTH, branch_budget=BRANCH_BUDGET):
+    """Split the constraint system into families and dead branches."""
+    if len(system.nondegeneracy) != 1:
+        raise SolverError("expected a single invertibility polynomial")
+    root = Branch(system.ring, system.equations, system.nondegeneracy[0], {}, (), (), 0)
+    return _run([root], max_depth, branch_budget)
 
 
 def component_count(result):

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from weilaut import solver
 from weilaut.parsing import parse_specfile
 from weilaut.report import analyze, overall_det1_image
 from weilaut.weil import build_algebra
@@ -303,7 +302,8 @@ def test_univariate_even_power_splits_into_both_roots():
     res = solve(tiny_system(ring, [u**2 - 4], ring.one()))
     assert [family_summary(f)[:2] for f in res.families] == [
         (("U = 2",), (("U", "2"),)),
-        (("4 != 0", "U = -2"), (("U", "-2"),)),
+        # the discriminant's root 4 is a constant: no hypothesis atom
+        (("U = -2",), (("U", "-2"),)),
     ]
 
 
@@ -314,7 +314,7 @@ def test_no_real_root_is_a_contradiction():
     assert res.families == []
     con, = res.contradictions
     assert con.reason == "no-real-solution"
-    assert con.detail == "no real value for U"
+    assert con.detail == "solved for U; candidates: none real"
     assert res.closed()
     assert component_count(res) == 0
 
@@ -381,6 +381,16 @@ def _three_unknowns_on_a_sphere():
     return ring, [U**2 + V**2 + W**2 - 1]
 
 
+def _eight_unknowns_on_a_sphere():
+    ring = PolyRing(tuple("U%d" % i for i in range(8)), QQ)
+    return ring, [sum((ring.var(v) ** 2 for v in ring.vars), ring.const(-1))]
+
+
+def _an_irrational_root():
+    ring = PolyRing(("U",), QQ)
+    return ring, [ring.var("U") ** 3 - 4]
+
+
 def _one_curve_in_two_unknowns():
     ring = PolyRing(("U", "V"), QQ)
     U, V = ring.var("U"), ring.var("V")
@@ -405,6 +415,8 @@ def _a_content_split():
     "make, budget, expected",
     [
         (_three_unknowns_on_a_sphere, 512, [((), "no finishing rule for 3 unknowns")]),
+        (_eight_unknowns_on_a_sphere, 512, [((), "no finishing rule for 8 unknowns")]),
+        (_an_irrational_root, 512, [((), "could not enumerate the roots of U^3 - 4")]),
         (_one_curve_in_two_unknowns, 512, [((), "underdetermined pair in U, V")]),
         (_two_curves_with_a_common_factor, 512, [((), "resultant in V vanished")]),
         (
@@ -496,22 +508,23 @@ def test_pure_power_roots_over_an_extension():
 
 
 def test_close_branch_finishes_each_root_child():
-    # called directly, close_branch reaches the arms solve() never does: a
-    # root child with no equations left becomes a family, and a child that
-    # still has equations is finished by recursion
+    # close_branch runs the solve loop from the branch it is given: a root
+    # child with no equations left becomes a family, and a child that still
+    # has equations is split again
     ring = PolyRing(("U", "V"), QQ)
     U, V = ring.var("U"), ring.var("V")
 
     def leaves(equations):
         return close_branch(Branch(ring, equations, ring.one(), {}, [], ("t",), 0))
 
+    # the quadratic split takes U^2 - 1, plus root first
     fams = leaves([U**2 - 1])
     assert all(isinstance(f, SolutionFamily) for f in fams)
-    assert [f.path for f in fams] == [("t", "U = -1"), ("t", "U = 1")]
+    assert [f.path for f in fams] == [("t", "U = 1"), ("t", "U = -1")]
 
     fams = leaves([U**2 - 1, U * V - 1])
     assert all(isinstance(f, SolutionFamily) for f in fams)
-    assert [f.bindings["V"] for f in fams] == [ring.const(-1), ring.const(1)]
+    assert [f.bindings["V"] for f in fams] == [ring.const(1), ring.const(-1)]
 
     res = leaves([U**2 - 1, V**2 - 2])
     assert all(isinstance(r, Residual) for r in res)
@@ -519,8 +532,8 @@ def test_close_branch_finishes_each_root_child():
 
 
 def test_finite_split_and_close_branch_share_the_real_values():
-    # equations in U with no common root: the finite split and close_branch
-    # take the (empty) values of U from one routine, and each names it its way
+    # equations in U with no common root: solve() and close_branch run one
+    # loop, so the finite split names the dead branch the same way for both
     ring = PolyRing(("U",), QQ)
     U = ring.var("U")
 
@@ -529,51 +542,48 @@ def test_finite_split_and_close_branch_share_the_real_values():
         assert isinstance(leaf, Contradiction)
         return leaf.reason, leaf.detail
 
-    dead = ("no-real-solution", "one unknown U left; candidates: none real")
-    assert closed([U**2 - 1, U - 2]) == dead
+    # U - 2 binds U linearly, and U^2 - 1 becomes the constant 3
+    assert closed([U**2 - 1, U - 2])[0] == INCONSISTENT
+    dead = ("no-real-solution", "solved for U; candidates: none real")
     assert closed([U**3 - 2, U**3 - 3]) == dead
-    # no rule binds U here (U - 2 would be bound linearly), so solve() reaches
-    # the finite split
+    # no rule binds U here, so solve() reaches the finite split
     res = solve(tiny_system(ring, [U**3 - 2, U**3 - 3], ring.one()))
     assert not res.families and not res.residuals
-    assert [(c.path, c.reason, c.detail) for c in res.contradictions] == [
-        ((), "no-real-solution", "no real value for U")
-    ]
+    assert [(c.path, c.reason, c.detail) for c in res.contradictions] == [((), *dead)]
 
 
-def test_close_branch_only_labels_a_residual_inside_solve(monkeypatch):
-    # solve() calls close_branch only after _split_finite has tried every
-    # plan close_branch could finish, so each call returns one Residual
-    calls = []
-    finish = solver.close_branch
+def leaf_summary(leaves):
+    return [(type(leaf).__name__, leaf.path, getattr(leaf, "reason", None)) for leaf in leaves]
 
-    def recorded(br):
-        leaves = finish(br)
-        calls.append(leaves)
-        return leaves
 
-    monkeypatch.setattr(solver, "close_branch", recorded)
+def test_close_branch_and_solve_are_one_loop():
+    # close_branch on the root branch of a system gives the leaves solve()
+    # gives, in the same order
     with open(CORPUS) as fh:
         specs = parse_specfile(fh.read())
     for name in ("tangent2", "quartic", "sextic"):
         with open(spec_path(name)) as fh:
             specs += parse_specfile(fh.read())
     for spec in specs:
-        analyze(spec)
-        analyze(spec.with_precedence(tuple(reversed(spec.precedence or spec.variables))))
-    ring = PolyRing(("U", "V"), QQ)
-    U, V = ring.var("U"), ring.var("V")
-    cubic = U**3 - 6 * U**2 + 11 * U - 6
-    # the finite split finishes the last two, so close_branch never sees them
-    for equations in ([U**3 - 4], [U * V - 1], [cubic], [cubic, U * V - 1]):
-        solve(tiny_system(ring, equations, ring.one()))
-    assert calls
-    assert all(len(leaves) == 1 and isinstance(leaves[0], Residual) for leaves in calls)
-    assert {leaves[0].reason for leaves in calls} >= {
-        "no finishing rule for 8 unknowns",
-        "could not enumerate the roots of U^3 - 4",
-        "underdetermined pair in U, V",
-    }
+        for s in (spec, spec.with_precedence(tuple(reversed(spec.precedence or spec.variables)))):
+            system = constraint_system(generic_endo(build_algebra(s)))
+            res = solve(system)
+            root = Branch(system.ring, system.equations, system.nondegeneracy[0], {}, (), (), 0)
+            expected = leaf_summary(res.families + res.contradictions + res.residuals)
+            assert leaf_summary(close_branch(root)) == expected, s.name
+
+
+def test_close_branch_keeps_the_guards_it_starts_from():
+    # a branch that already carries A != 0 never splits on A again
+    system = constraint_system(generic_endo(load("tangent2")))
+    ring = system.ring
+    A = ring.var("A")
+    br = Branch(ring, system.equations, system.nondegeneracy[0], {}, [A], ("A != 0",), 0)
+    leaves = close_branch(br)
+    fams = [leaf for leaf in leaves if isinstance(leaf, SolutionFamily)]
+    assert fams
+    assert all("A" in fam.nonzero and "A" not in fam.bindings for fam in fams)
+    assert all(leaf.path[0] == "A != 0" and "A = 0" not in leaf.path for leaf in leaves)
 
 
 # -- the shipped algebras ----------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -10,8 +11,7 @@ from weilaut.weil import AlgebraSpec, WeilError, build_algebra, integral_copy, s
 from weilaut.poly import monomials
 from weilaut.quotient import nf_table, normal_form
 from weilaut.parsing import parse_specfile
-from weilaut.report import analyze
-from weilaut.solver import component_count
+from weilaut.report import analyze, build_report, canonical_json, render_solve_text
 import os
 
 import oracles
@@ -286,37 +286,48 @@ def test_nil_powers_match_the_rank_oracle():
         assert nil_power_outcome(spec) == oracles.nil_powers(spec), spec.name
 
 
-SCOREBOARD = ("crash", "residual", "closed undetermined", "closed with a count")
+SCOREBOARD = ("crash", "residual", "closed undetermined", "closed with a count", "det1 undetermined")
 
 
 def scoreboard():
     """Tally analyze's outcome on random_spec_texts(seed, 150) for seeds 1, 5
-    and 7, at both precedences, into the SCOREBOARD kinds. A crash is any
-    exception; the second Counter holds each crash's type and message."""
-    tally, crashes = Counter(), Counter()
+    and 7, at both precedences, into the SCOREBOARD kinds; the first four
+    are exclusive, and "det1 undetermined" counts the reports whose
+    det1_image is undetermined. A crash is any exception; the Counter
+    returned second holds each crash's type and message, and the last value
+    is a sha256 over each presentation's canonical JSON and solve text, or
+    its crash, each followed by a newline, in order."""
+    tally, crashes, digest = Counter(), Counter(), hashlib.sha256()
     for seed in (1, 5, 7):
         for spec in both_precedences([s for text in random_spec_texts(seed, 150) for s in parse_specfile(text)]):
             try:
-                result = analyze(spec).result
+                analysis = analyze(spec)
+                report = build_report(analysis)
             except Exception as exc:
+                crash = "%s: %s" % (type(exc).__name__, exc)
                 tally["crash"] += 1
-                crashes["%s: %s" % (type(exc).__name__, exc)] += 1
+                crashes[crash] += 1
+                digest.update((crash + "\n").encode())
                 continue
-            if not result.closed():
+            digest.update((canonical_json(report) + render_solve_text(analysis, report) + "\n").encode())
+            if report["residuals"]:
                 tally["residual"] += 1
-            elif component_count(result) == "undetermined":
+            elif report["components"] == "undetermined":
                 tally["closed undetermined"] += 1
             else:
                 tally["closed with a count"] += 1
-    return tally, crashes
+            if report["det1_image"] == "undetermined":
+                tally["det1 undetermined"] += 1
+    return tally, crashes, digest.hexdigest()
 
 
 if __name__ == "__main__":
     # the scoreboard of ROADMAP item 4: PYTHONPATH=src python tests/test_weil.py
     start = time.perf_counter()
-    tally, crashes = scoreboard()
+    tally, crashes, digest = scoreboard()
     for kind in SCOREBOARD:
         print("%-20s %d" % (kind, tally[kind]))
     for message, n in sorted(crashes.items()):
         print("  %d x %s" % (n, message))
-    print("%d presentations in %.1f s" % (sum(tally.values()), time.perf_counter() - start))
+    print("sha256 %s" % digest)
+    print("%d presentations in %.1f s" % (sum(tally[kind] for kind in SCOREBOARD[:4]), time.perf_counter() - start))
