@@ -415,8 +415,6 @@ def _a_content_split():
     "make, budget, expected",
     [
         (_three_unknowns_on_a_sphere, 512, [((), "no finishing rule for 3 unknowns")]),
-        (_eight_unknowns_on_a_sphere, 512, [((), "no finishing rule for 8 unknowns")]),
-        (_an_irrational_root, 512, [((), "could not enumerate the roots of U^3 - 4")]),
         (_one_curve_in_two_unknowns, 512, [((), "underdetermined pair in U, V")]),
         (_two_curves_with_a_common_factor, 512, [((), "resultant in V vanished")]),
         (
@@ -427,6 +425,8 @@ def _a_content_split():
                 (("U != 0; V + W = 0",), "branch budget exhausted"),
             ],
         ),
+        (_eight_unknowns_on_a_sphere, 512, [((), "no finishing rule for 8 unknowns")]),
+        (_an_irrational_root, 512, [((), "could not enumerate the roots of U^3 - 4")]),
     ],
 )
 def test_every_residual_reason_through_solve(make, budget, expected):
