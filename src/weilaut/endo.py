@@ -10,7 +10,10 @@ on Python ints: the images and the structure constants are cleared of
 denominators once, and invertibility is a fraction-free Bareiss determinant
 of the nil block. Both sides of phi(e_i * e_j) = phi(e_i) * phi(e_j) depend
 only on the product monomial e_i * e_j, so the pairs that share one are
-compared once (product_groups).
+compared once (product_groups). The report's determinants read only the
+blocks of the matrix along the graded pieces and below them, so their
+images are extended through products truncated at those pieces
+(graded_plan).
 """
 
 from fractions import Fraction
@@ -19,7 +22,7 @@ from operator import add, floordiv
 
 from .scalar import QQ
 from .poly import PolyRing, Polynomial
-from .weil import integral_copy, structure_product
+from .weil import integral_copy, structure_product, with_table
 # rref is unused here but stays importable: bench/tracer.py patches endo.rref
 from .linalg import bareiss_determinant, check_block_triangular, rref  # noqa: F401
 
@@ -79,13 +82,16 @@ class SymbolicEndo:
         return acc
 
 
-def _monomial_image(algebra, images, exps, zero, one, cache):
+def _monomial_image(algebra, images, exps, zero, one, cache, plan=None):
     """Coordinates of phi(monomial), phi given by the images of the variables.
 
     phi is extended multiplicatively by peeling one variable off the
-    monomial. zero and one are the coordinates' own, so the same recursion
-    serves symbolic and numeric endomorphisms; cache maps exponents to
-    coordinates already computed.
+    monomial (_peel). zero and one are the coordinates' own, so the same
+    recursion serves symbolic and numeric endomorphisms; cache maps
+    exponents to coordinates already computed. plan, when given, maps each
+    monomial to the algebra whose product builds its image from the
+    peeled one's (graded_plan); otherwise that is algebra, and every
+    coordinate is computed.
     """
     coords = cache.get(exps)
     if coords is not None:
@@ -94,13 +100,76 @@ def _monomial_image(algebra, images, exps, zero, one, cache):
         coords = [zero] * algebra.dim
         coords[0] = one
     else:
-        i = next(k for k, e in enumerate(exps) if e)
-        prev = list(exps)
-        prev[i] -= 1
-        base = _monomial_image(algebra, images, tuple(prev), zero, one, cache)
-        coords = structure_product(algebra, base, images[algebra.ring.vars[i]], zero)
+        i, prev = _peel(exps)
+        base = _monomial_image(algebra, images, prev, zero, one, cache, plan)
+        product = algebra if plan is None else plan[exps]
+        coords = structure_product(product, base, images[algebra.ring.vars[i]], zero)
     cache[exps] = coords
     return coords
+
+
+def _peel(exps):
+    """(i, prev): the monomial is variable i times prev, i its first variable."""
+    i = next(k for k, e in enumerate(exps) if e)
+    return i, exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+
+
+def graded_plan(algebra):
+    """The precision plan of extend_to_matrix's graded matrix.
+
+    _monomial_image builds phi(c) as phi(prev) * phi(x), x the variable
+    peeled off c (_peel). The plan maps each nil basis monomial c to a
+    copy of algebra whose product keeps only the coordinates in the graded
+    pieces <= need(c):
+      - a nil basis monomial b is needed in pieces <= piece(b), the
+        columns of its row's diagonal and lower blocks;
+      - each monomial before it on its peel chain is needed in one piece
+        fewer, need(prev) = max(need(prev), need(c) - 1): phi(x) lies in
+        m, so the product's coordinates in piece N read phi(prev) in
+        pieces < N only;
+      - e_i * e_j has no term below piece(i) + piece(j), so the product
+        reads phi(x) in pieces <= need(c) - piece(i) only; for an
+        endomorphism phi(prev) lies in m^piece(prev), and this is
+        need(c) - piece(prev).
+    Every kept coordinate is exact, whatever the images. Truncating each
+    image at its own piece instead is wrong wherever a monomial lies
+    deeper than its degree, as the cusp's X^2 = Y^3 lies in m^3: the
+    monomials before it on its peel chain are needed deeper than their
+    own pieces. Built on first use and cached on the algebra.
+    """
+    if algebra._graded_plan is None:
+        piece = [0] * algebra.dim
+        for d, positions in enumerate(algebra.graded_pieces(), start=1):
+            for p in positions:
+                piece[algebra.nil_indices[p]] = d
+        need = {algebra.basis[k]: piece[k] for k in algebra.nil_indices}
+        # a monomial's need is final once every monomial of the next degree
+        # has passed its own on
+        for c in sorted(need, key=sum, reverse=True):
+            prev = _peel(c)[1]
+            if any(prev):
+                need[prev] = max(need[prev], need[c] - 1)
+        products = {n: _truncated(algebra, piece, n) for n in set(need.values())}
+        algebra._graded_plan = {c: products[n] for c, n in need.items()}
+    return algebra._graded_plan
+
+
+def _truncated(algebra, piece, n):
+    """algebra, its products' terms in pieces deeper than n dropped.
+
+    piece[k] is the graded piece of basis monomial k, 0 for the unit.
+    """
+    if n >= max(piece):
+        return algebra
+    table = []
+    for row in algebra.structure_pairs:
+        kept = []
+        for j, pairs in row:
+            terms = tuple((k, c) for k, c in pairs if piece[k] <= n)
+            if terms:
+                kept.append((j, terms))
+        table.append(tuple(kept))
+    return with_table(algebra, tuple(table))
 
 
 def generic_endo(algebra):
@@ -151,7 +220,11 @@ class SymbolicMatrix:
         pieces, and its determinant is the product of the diagonal blocks'.
         A piece d of full size C(n+d-1, d), n = len(pieces[0]), is
         Sym^d(m/m^2), so its block's determinant is det(M1) to the power
-        symmetric_power_exponent(n, d); only the other pieces take Bareiss.
+        symmetric_power_exponent(n, d); only the other pieces and M1 take
+        bareiss_determinant, which splits each block further into the fine
+        blocks of its nonzero pattern and eliminates only those larger than
+        1 x 1. Only the diagonal and lower blocks are read, so the matrix
+        may be extend_to_matrix's graded one.
         """
         if not self.entries:
             return self.ring.one()
@@ -182,17 +255,38 @@ class SymbolicMatrix:
         return [self.entries[i][i] for i in range(len(self.entries))]
 
 
-def extend_to_matrix(endo):
-    """Matrix of phi on the nilpotent part, rows indexed by basis monomials."""
+def extend_to_matrix(endo, pieces=None):
+    """Matrix of phi on the nilpotent part, rows indexed by basis monomials.
+
+    pieces, when given, must be algebra.graded_pieces(), and the matrix is
+    then the associated graded map's with the blocks below it: row b holds
+    phi(b)'s coordinates in the pieces <= piece(b), computed exactly
+    (graded_plan), and zeros in the columns of deeper pieces. Those are
+    the entries SymbolicMatrix.det(pieces) and diagonal() read. Without
+    pieces every image is full.
+    """
     alg = endo.algebra
     nil = alg.nil_indices
     labels = [alg.ring.monomial_str(alg.basis[i]) for i in nil]
+    if pieces is None:
+        images = [endo.image_of_monomial(alg.basis[i]) for i in nil]
+    else:
+        plan = graded_plan(alg)
+        zero, one, cache = endo.ring.zero(), endo.ring.one(), {}
+        images = [_monomial_image(alg, endo.images, alg.basis[i], zero, one, cache, plan) for i in nil]
     rows = []
-    for i in nil:
-        coords = endo.image_of_monomial(alg.basis[i])
+    for coords in images:
         if coords[0]:
             raise EndoError("image of a nilpotent left the nilradical")
         rows.append([coords[j] for j in nil])
+    if pieces is not None:
+        # a row on the peel chain of a deeper monomial holds coordinates
+        # beyond its own piece too; the graded matrix drops them
+        for d, positions in enumerate(pieces):
+            deeper = [q for later in pieces[d + 1:] for q in later]
+            for p in positions:
+                for q in deeper:
+                    rows[p][q] = zero
     return SymbolicMatrix(endo.ring, rows, labels)
 
 

@@ -4,9 +4,13 @@ Works over any commutative domain whose elements support +, -, * and
 truthiness for zero tests. Division is injected where needed so the same
 routines serve Fraction, FieldElement and Polynomial entries.
 
-The determinant kernel is sparse: a zero entry costs a truth test and no
-arithmetic, so a monomial matrix (one nonzero per row) is eliminated with
-no product or division of a zero.
+The determinant reads the nonzero pattern before it eliminates. A perfect
+matching of rows to columns (augmenting paths) puts nonzero entries on the
+diagonal, or shows the determinant is 0 with no arithmetic; the strongly
+connected components of the pattern (Tarjan) then give the fine
+block-triangular form (Dulmage-Mendelsohn), and only blocks larger than
+1 x 1 are eliminated. The elimination is sparse too: a zero entry costs a
+truth test and no arithmetic.
 """
 
 from .scalar import field_div
@@ -17,16 +21,16 @@ class LinalgError(ArithmeticError):
 
 
 def bareiss_determinant(rows, exact_div):
-    """Fraction-free determinant (Bareiss, Math. Comp. 22, 1968).
+    """Exact determinant from the fine block-triangular form.
 
-    exact_div(a, b) must divide exactly. Step k sets each entry below and
-    right of the pivot p to (a*p - f*b) / prev, f the row's entry in column
-    k, b the pivot row's in column j and prev the previous pivot. The
-    product f*b is skipped when either factor is zero, an entry that is
-    zero and gets no such product stays zero with no arithmetic, and a zero
-    numerator is never divided. A nonzero entry of a row whose f is zero is
-    still scaled to a*p / prev: after step k, entry (i, j) is the minor on
-    rows 0..k, i and columns 0..k, j, whatever f is.
+    exact_div(a, b) must divide exactly. When no perfect matching of rows
+    to columns runs along nonzero entries, the determinant is the zero of
+    the entry type. Otherwise, with the columns permuted so the matching
+    lies on the diagonal, the matrix is block triangular along the strongly
+    connected components of its pattern (an edge i -> k for each nonzero
+    entry (i, k)), and the determinant is the permutation's sign times the
+    product of the components' blocks' determinants: a 1 x 1 block is its
+    entry, a larger one takes fraction-free elimination (_eliminate).
     """
     n = len(rows)
     if n == 0:
@@ -34,8 +38,158 @@ def bareiss_determinant(rows, exact_div):
     for r in rows:
         if len(r) != n:
             raise LinalgError("matrix is not square")
-    m = [list(r) for r in rows]
-    zero = m[0][0] - m[0][0]
+    if all(map(all, rows)):
+        # no zero entry: one block, whose diagonal is a matching
+        return _eliminate([list(r) for r in rows], exact_div)
+    pattern = [[j for j, x in enumerate(r) if x] for r in rows]
+    match = _perfect_matching(pattern)
+    if match is None:
+        return rows[0][0] - rows[0][0]
+    owner = [0] * n  # owner[j]: the row matched to column j
+    for i, j in enumerate(match):
+        owner[j] = i
+    det = None
+    for block in _strong_components([[owner[j] for j in cols] for cols in pattern]):
+        if len(block) == 1:
+            i = block[0]
+            d = rows[i][match[i]]
+        else:
+            block.sort()
+            d = _eliminate([[rows[i][match[k]] for k in block] for i in block], exact_div)
+            if not d:
+                return d
+        det = d if det is None else det * d
+    return det if _permutation_sign(match) == 1 else -det
+
+
+def _perfect_matching(pattern):
+    """The column matched to each row, or None without a perfect matching.
+
+    pattern[i] lists the columns of row i's nonzero entries. A row takes its
+    diagonal entry when that is nonzero, else its first free column; a row
+    left without one is matched by an augmenting path, found by a search
+    that visits each column once. When a row has no augmenting path, no
+    perfect matching exists (Kuhn's algorithm gives a maximum matching).
+    """
+    n = len(pattern)
+    match = [None] * n
+    owner = [None] * n
+    for i, cols in enumerate(pattern):
+        if i in cols:
+            match[i] = owner[i] = i
+    for i, cols in enumerate(pattern):
+        if match[i] is None:
+            for j in cols:
+                if owner[j] is None:
+                    match[i] = j
+                    owner[j] = i
+                    break
+    for root in range(n):
+        if match[root] is not None:
+            continue
+        reached_from = [None] * n  # the row whose search reached column j
+        stack = [root]
+        end = None
+        while stack and end is None:
+            i = stack.pop()
+            for j in pattern[i]:
+                if reached_from[j] is None:
+                    reached_from[j] = i
+                    if owner[j] is None:
+                        end = j
+                        break
+                    stack.append(owner[j])
+        if end is None:
+            return None
+        j = end
+        while j is not None:
+            i = reached_from[j]
+            match[i], j = j, match[i]
+            owner[match[i]] = i
+    return match
+
+
+def _strong_components(succ):
+    """The strongly connected components of the graph i -> succ[i].
+
+    Tarjan's algorithm (SIAM J. Comput. 1, 1972), iterative: the stack
+    holds each open node with the iterator over its successors, so nothing
+    calls itself.
+    """
+    n = len(succ)
+    index = [None] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    out = []
+    count = 0
+    for root in range(n):
+        if index[root] is not None:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] is None:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    out.append(component)
+    return out
+
+
+def _permutation_sign(p):
+    """+1 or -1, the sign of the permutation i -> p[i]."""
+    seen = [False] * len(p)
+    sign = 1
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        j = p[i]
+        seen[i] = True
+        while j != i:
+            seen[j] = True
+            sign = -sign
+            j = p[j]
+    return sign
+
+
+def _eliminate(m, exact_div):
+    """Fraction-free determinant (Bareiss, Math. Comp. 22, 1968) of m, in place.
+
+    Step k sets each entry below and right of the pivot p to
+    (a*p - f*b) / prev, f the row's entry in column k, b the pivot row's in
+    column j and prev the previous pivot. The product f*b is skipped when
+    either factor is zero, an entry that is zero and gets no such product
+    stays zero with no arithmetic, and a zero numerator is never divided. A
+    nonzero entry of a row whose f is zero is still scaled to a*p / prev:
+    after step k, entry (i, j) is the minor on rows 0..k, i and columns
+    0..k, j, whatever f is. A zero pivot takes a row swap.
+    """
+    n = len(m)
     sign = 1
     prev = None
     for k in range(n - 1):
@@ -46,7 +200,7 @@ def bareiss_determinant(rows, exact_div):
                     sign = -sign
                     break
             else:
-                return zero
+                return m[0][0] - m[0][0]
         pivot_row = m[k]
         pivot = pivot_row[k]
         for i in range(k + 1, n):

@@ -76,6 +76,7 @@ class WeilAlgebra:
         "nilpotency_order",
         "_integral",
         "_product_groups",
+        "_graded_plan",
     )
 
     def basis_names(self):
@@ -133,15 +134,21 @@ def integral_copy(algebra):
     if algebra._integral is None:
         table = algebra.structure_pairs
         q = lcm(*(c.denominator for row in table for _, pairs in row for _, c in pairs))
-        scaled = WeilAlgebra.__new__(WeilAlgebra)
-        for name in WeilAlgebra.__slots__:
-            setattr(scaled, name, getattr(algebra, name))
-        scaled.structure_pairs = tuple(
+        scaled = with_table(algebra, tuple(
             tuple((j, tuple((k, c.numerator * (q // c.denominator)) for k, c in pairs)) for j, pairs in row)
             for row in table
-        )
+        ))
         algebra._integral = (q, scaled)
     return algebra._integral
+
+
+def with_table(algebra, table):
+    """A copy of algebra whose products, by structure_product, use table."""
+    copy = WeilAlgebra.__new__(WeilAlgebra)
+    for name in WeilAlgebra.__slots__:
+        setattr(copy, name, getattr(algebra, name))
+    copy.structure_pairs = table
+    return copy
 
 
 def build_algebra(spec):
@@ -173,6 +180,7 @@ def build_algebra(spec):
     alg.nil_indices = tuple(range(1, alg.dim))
     alg._integral = None
     alg._product_groups = None  # filled by endo.product_groups
+    alg._graded_plan = None  # filled by endo.graded_plan
 
     # span: the basis monomials spanning m^(s+1), from m^(r+1) = 0
     span = set()

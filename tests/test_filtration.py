@@ -3,7 +3,9 @@
 Full Bareiss on the whole nil block is the oracle: on every family the
 product of the diagonal-block determinants and the reported det M, which
 takes det(M1)^C(n+d-1, d-1) on every full-size piece d, must equal it, and
-the first block must give det M1.
+the first block must give det M1. The report's graded matrix, built from
+truncated images, must equal the full matrix on every entry of the
+diagonal and lower blocks.
 """
 
 import os
@@ -19,6 +21,7 @@ from weilaut.endo import (
     extend_to_matrix,
     generic_endo,
     linear_matrix,
+    specialize,
     substitute,
     symmetric_power_exponent,
 )
@@ -33,6 +36,9 @@ from weilaut.specdata import spec_path
 from weilaut.weil import build_algebra
 
 from oracles import filtered_determinant
+from test_weil import both_precedences, random_spec_texts
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus.alg")
 
 PROBES = """
 algebra cusp { vars: X, Y; order: 4; relations: X^2 - Y^3; }
@@ -60,6 +66,17 @@ def load(name):
 
 def reversed_precedence(spec):
     return spec.with_precedence(tuple(reversed(spec.precedence or spec.variables)))
+
+
+def graded_cases():
+    """The corpus, the shipped three, and two random presentations with a
+    basis monomial deeper than its degree at both precedences: truncating
+    each image at its own piece breaks their diagonal blocks."""
+    with open(CORPUS, encoding="utf-8") as fh:
+        specs = parse_specfile(fh.read())
+    specs += [load(name) for name in SHIPPED]
+    texts = random_spec_texts(2, 150)
+    return specs + both_precedences([parse_specfile(texts[t])[0] for t in (127, 143)])
 
 
 def family_matrices(analysis, fam):
@@ -119,6 +136,28 @@ def test_block_product_equals_full_bareiss(name, flip):
         reported = family_determinants(analysis.endo, fam)
         assert reported["full"] == repr(det)
         assert reported["linear"] == repr(det1)
+
+
+@pytest.mark.parametrize(
+    "spec", graded_cases(), ids=lambda s: "%s-%s" % (s.name, "".join(s.precedence or s.variables))
+)
+def test_graded_matrix_is_exact_on_the_blocks_det_reads(spec):
+    analysis = analyze(spec)
+    pieces = analysis.algebra.graded_pieces()
+    piece = {p: d for d, positions in enumerate(pieces) for p in positions}
+    # the generic endomorphism too: the kept entries are exact for any images
+    endos = [analysis.endo]
+    endos += [specialize(analysis.endo, fam.ring, fam.bindings) for fam in analysis.result.families]
+    for k, endo in enumerate(endos):
+        graded = extend_to_matrix(endo, pieces)
+        full = extend_to_matrix(endo)
+        for i, (graded_row, full_row) in enumerate(zip(graded.entries, full.entries)):
+            for j, (g, f) in enumerate(zip(graded_row, full_row)):
+                # the diagonal and lower blocks exactly, zeros above them
+                assert g == (f if piece[j] <= piece[i] else 0), (k, graded.labels[i], graded.labels[j])
+        if k:
+            assert graded.det(pieces) == full.det(pieces)
+            assert graded.diagonal() == full.diagonal()
 
 
 def test_quartic_block_factors_against_the_printed_matrix():

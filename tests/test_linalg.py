@@ -4,6 +4,11 @@ bareiss_determinant skips every product with a zero factor and never divides
 a zero numerator; a nonzero entry of a row whose entry in the pivot column
 is zero must still be scaled by pivot / previous pivot. Leaving such rows
 unscaled, the usual wrong shortcut, breaks the comparisons below.
+
+It first splits the matrix into the fine blocks of its nonzero pattern (a
+perfect matching, then strongly connected components): the patterns below
+have no perfect matching, a matching of odd sign, blocks in a shuffled
+order, one irreducible block, or no zero entry at all.
 """
 
 import random
@@ -12,7 +17,7 @@ from operator import floordiv, truediv
 
 import pytest
 
-from weilaut.linalg import bareiss_determinant
+from weilaut.linalg import LinalgError, bareiss_determinant
 from weilaut.poly import Polynomial, PolyRing
 from weilaut.scalar import QQ
 
@@ -68,10 +73,39 @@ def monomial_matrix(rng, n, entry, zero):
     return [[entry(rng) if j == perm[i] else zero for j in range(n)] for i in range(n)]
 
 
+def no_division(a, b):
+    raise AssertionError("a structurally singular matrix was eliminated")
+
+
 def check(rows, div):
+    before = [list(row) for row in rows]
     got = bareiss_determinant(rows, no_zero_division(div))
     want = permutation_determinant(rows)
     assert got == want, (rows, got, want)
+    assert rows == before
+    return got
+
+
+def shuffled(rows, rng):
+    """rows with its rows and its columns each put in a random order."""
+    n = len(rows)
+    p, q = list(range(n)), list(range(n))
+    rng.shuffle(p)
+    rng.shuffle(q)
+    return [[rows[p[i]][q[j]] for j in range(n)] for i in range(n)]
+
+
+def block_triangular(rng, sizes, density, entry, zero):
+    """Upper block-triangular, each diagonal block with a nonzero diagonal."""
+    n = sum(sizes)
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    return [
+        [
+            entry(rng) if i == j or (block[i] <= block[j] and rng.random() < density) else zero
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -125,3 +159,81 @@ def test_singular_matrices_give_zero(kind):
             ):
                 assert not bareiss_determinant(singular, no_zero_division(div))
                 check(singular, div)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_no_perfect_matching_gives_the_zero_of_the_entry_type(kind):
+    entry, zero, div = KINDS[kind]
+    rng = random.Random(30)
+    for n in range(1, 7):
+        for _ in range(6):
+            rows = sparse_matrix(rng, n, rng.uniform(0.3, 0.9), entry, zero)
+            # k rows whose nonzero entries lie in k - 1 columns (Hall)
+            k = rng.randrange(1, n + 1)
+            few = set(rng.sample(range(n), k - 1))
+            for i in rng.sample(range(n), k):
+                rows[i] = [x if j in few else zero for j, x in enumerate(rows[i])]
+            got = bareiss_determinant(rows, no_division)
+            assert not got and type(got) is type(zero)
+            check(rows, div)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_matching_of_odd_sign(kind):
+    entry, zero, div = KINDS[kind]
+    rng = random.Random(31)
+    for n in range(2, 7):
+        for _ in range(4):
+            rows = block_triangular(rng, [1] * n, 0.5, entry, zero)
+            # swap two columns: the only perfect matching is a transposition
+            i, j = rng.sample(range(n), 2)
+            for row in rows:
+                row[i], row[j] = row[j], row[i]
+            assert check(rows, div)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_vanishing_leading_minor_takes_a_row_swap(kind):
+    entry, zero, div = KINDS[kind]
+    rng = random.Random(32)
+    for n in range(3, 7):
+        for _ in range(4):
+            # no zero entry: the matching is the diagonal and the matrix one
+            # block, whose leading 2 x 2 minor vanishes at elimination step 1
+            rows = sparse_matrix(rng, n, 1.0, entry, zero)
+            rows[1][:2] = rows[0][:2]
+            check(rows, div)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_reducible_and_irreducible_patterns(kind):
+    entry, zero, div = KINDS[kind]
+    rng = random.Random(33)
+    for _ in range(30 if kind == "poly" else 80):
+        n = rng.randrange(1, 7)
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(rng.randrange(1, n - sum(sizes) + 1))
+        rows = block_triangular(rng, sizes, rng.uniform(0.2, 0.8), entry, zero)
+        check(shuffled(rows, rng), div)
+        # a cycle through every position makes the pattern irreducible
+        for i in range(n):
+            rows[i][(i + 1) % n] = entry(rng)
+        check(shuffled(rows, rng), div)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_dense_matrices(kind):
+    entry, zero, div = KINDS[kind]
+    rng = random.Random(34)
+    for n in range(1, 7):
+        for _ in range(3 if kind == "poly" else 8):
+            check(sparse_matrix(rng, n, 1.0, entry, zero), div)
+
+
+def test_an_empty_or_non_square_matrix_raises():
+    with pytest.raises(LinalgError, match="empty matrix"):
+        bareiss_determinant([], floordiv)
+    for rows in ([[1, 2]], [[1, 2], [3]], [[1], [2]]):
+        with pytest.raises(LinalgError, match="not square"):
+            bareiss_determinant(rows, floordiv)
