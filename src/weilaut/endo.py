@@ -255,33 +255,34 @@ class SymbolicMatrix:
         return [self.entries[i][i] for i in range(len(self.entries))]
 
 
-def extend_to_matrix(endo, pieces=None):
+def extend_to_matrix(endo, graded=False):
     """Matrix of phi on the nilpotent part, rows indexed by basis monomials.
 
-    pieces, when given, must be algebra.graded_pieces(), and the matrix is
-    then the associated graded map's with the blocks below it: row b holds
-    phi(b)'s coordinates in the pieces <= piece(b), computed exactly
-    (graded_plan), and zeros in the columns of deeper pieces. Those are
-    the entries SymbolicMatrix.det(pieces) and diagonal() read. Without
-    pieces every image is full.
+    With graded, the matrix is the associated graded map's with the blocks
+    below it, along algebra.graded_pieces(): row b holds phi(b)'s
+    coordinates in the pieces <= piece(b), computed exactly (graded_plan),
+    and zeros in the columns of deeper pieces. Those are the entries
+    SymbolicMatrix.det(pieces) and diagonal() read. Otherwise every image
+    is full.
     """
     alg = endo.algebra
     nil = alg.nil_indices
     labels = [alg.ring.monomial_str(alg.basis[i]) for i in nil]
-    if pieces is None:
-        images = [endo.image_of_monomial(alg.basis[i]) for i in nil]
-    else:
+    if graded:
         plan = graded_plan(alg)
         zero, one, cache = endo.ring.zero(), endo.ring.one(), {}
         images = [_monomial_image(alg, endo.images, alg.basis[i], zero, one, cache, plan) for i in nil]
+    else:
+        images = [endo.image_of_monomial(alg.basis[i]) for i in nil]
     rows = []
     for coords in images:
         if coords[0]:
             raise EndoError("image of a nilpotent left the nilradical")
         rows.append([coords[j] for j in nil])
-    if pieces is not None:
+    if graded:
         # a row on the peel chain of a deeper monomial holds coordinates
         # beyond its own piece too; the graded matrix drops them
+        pieces = alg.graded_pieces()
         for d, positions in enumerate(pieces):
             deeper = [q for later in pieces[d + 1:] for q in later]
             for p in positions:

@@ -38,9 +38,6 @@ def bareiss_determinant(rows, exact_div):
     for r in rows:
         if len(r) != n:
             raise LinalgError("matrix is not square")
-    if all(map(all, rows)):
-        # no zero entry: one block, whose diagonal is a matching
-        return _eliminate([list(r) for r in rows], exact_div)
     pattern = [[j for j, x in enumerate(r) if x] for r in rows]
     match = _perfect_matching(pattern)
     if match is None:
@@ -65,28 +62,17 @@ def bareiss_determinant(rows, exact_div):
 def _perfect_matching(pattern):
     """The column matched to each row, or None without a perfect matching.
 
-    pattern[i] lists the columns of row i's nonzero entries. A row takes its
-    diagonal entry when that is nonzero, else its first free column; a row
-    left without one is matched by an augmenting path, found by a search
-    that visits each column once. When a row has no augmenting path, no
-    perfect matching exists (Kuhn's algorithm gives a maximum matching).
+    pattern[i] lists the columns of row i's nonzero entries, in ascending
+    order. Rows are matched in order, each by an augmenting path found by a
+    search that visits each column once (Kuhn's algorithm gives a maximum
+    matching); when a row has none, no perfect matching exists. A matrix
+    whose diagonal has no zero entry gets the identity: row i's scan meets
+    columns below i taken and column i free.
     """
     n = len(pattern)
     match = [None] * n
     owner = [None] * n
-    for i, cols in enumerate(pattern):
-        if i in cols:
-            match[i] = owner[i] = i
-    for i, cols in enumerate(pattern):
-        if match[i] is None:
-            for j in cols:
-                if owner[j] is None:
-                    match[i] = j
-                    owner[j] = i
-                    break
     for root in range(n):
-        if match[root] is not None:
-            continue
         reached_from = [None] * n  # the row whose search reached column j
         stack = [root]
         end = None

@@ -105,7 +105,7 @@ def family_determinants(endo, fam):
     the graded pieces m^d/m^(d+1) (checked on every entry): det M is the
     product of the diagonal blocks' determinants. Only those blocks and
     the ones below them are read, so the images are extended only as far
-    as they reach (extend_to_matrix with the pieces): M is the matrix of
+    as they reach (extend_to_matrix, graded): M is the matrix of
     the associated graded map, with its lower blocks, and zeros above. A
     piece of full size C(n+d-1, d), n the size of piece 1, is
     Sym^d(m/m^2), and its block's determinant is det(B1)^C(n+d-1, d-1),
@@ -114,10 +114,9 @@ def family_determinants(endo, fam):
     Bareiss (SymbolicMatrix.det). det M1, B1's determinant, is the
     solver's invertibility polynomial after the family's bindings.
     """
-    pieces = endo.algebra.graded_pieces()
-    full = extend_to_matrix(specialize(endo, fam.ring, fam.bindings), pieces)
+    full = extend_to_matrix(specialize(endo, fam.ring, fam.bindings), graded=True)
     return {
-        "full": repr(full.det(pieces)),
+        "full": repr(full.det(endo.algebra.graded_pieces())),
         "linear": repr(fam.nondeg_value),
         "diagonal": [repr(p) for p in full.diagonal()],
     }

@@ -11,16 +11,17 @@ from polynomial products, not from structure constants.
 linear_bind_candidates and trial_division_linear_bind keep the solver's
 earlier linear bind, which tried every guarded-monomial coefficient by exact
 division, as a reference for the constant-lead bind that replaced it.
-filtered_determinant multiplies the package's Bareiss determinants of the
-diagonal blocks; the filtration tests check it against Bareiss on the whole
-matrix.
+plain_bareiss is the textbook fraction-free elimination on the dense
+matrix, with no look at the nonzero pattern; filtered_determinant multiplies
+its determinants of the diagonal blocks, and the filtration tests check that
+against plain_bareiss on the whole matrix.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
 
-from weilaut.linalg import bareiss_determinant, check_block_triangular
+from weilaut.linalg import check_block_triangular
 from weilaut.quotient import IdealPresentation, buchberger, normal_form, standard_monomials
 
 
@@ -53,6 +54,32 @@ def permutation_determinant(rows):
             term = -term
         acc = term if acc is None else acc + term
     return acc
+
+
+def plain_bareiss(rows, exact_div):
+    """Determinant by dense fraction-free elimination (Bareiss, 1968).
+
+    Every entry below and right of the pivot becomes
+    (a * pivot - f * b) / prev, zero or not; a zero pivot takes the first
+    row below with a nonzero entry in its column, or the determinant is 0.
+    """
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return m[k][k]
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = num if prev is None else exact_div(num, prev)
+        prev = m[k][k]
+    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
 def sylvester_resultant_oracle(pc, qc):
@@ -306,7 +333,7 @@ def filtered_determinant(rows, blocks, exact_div):
     check_block_triangular(rows, blocks)
     det = None
     for block in blocks:
-        d = bareiss_determinant([[rows[i][j] for j in block] for i in block], exact_div)
+        d = plain_bareiss([[rows[i][j] for j in block] for i in block], exact_div)
         det = d if det is None else det * d
     return det
 

@@ -1,11 +1,12 @@
 """Family determinants along the m-adic filtration m > m^2 > ...
 
-Full Bareiss on the whole nil block is the oracle: on every family the
-product of the diagonal-block determinants and the reported det M, which
-takes det(M1)^C(n+d-1, d-1) on every full-size piece d, must equal it, and
-the first block must give det M1. The report's graded matrix, built from
-truncated images, must equal the full matrix on every entry of the
-diagonal and lower blocks.
+Full Bareiss on the whole nil block is the oracle (oracles.plain_bareiss,
+which reads no nonzero pattern): on every family the product of the
+diagonal-block determinants, the package's bareiss_determinant and the
+reported det M, which takes det(M1)^C(n+d-1, d-1) on every full-size piece
+d, must equal it, and the first block must give det M1. The report's
+graded matrix, built from truncated images, must equal the full matrix on
+every entry of the diagonal and lower blocks.
 """
 
 import os
@@ -35,7 +36,7 @@ from weilaut.solver import SolutionFamily
 from weilaut.specdata import spec_path
 from weilaut.weil import build_algebra
 
-from oracles import filtered_determinant
+from oracles import filtered_determinant, plain_bareiss
 from test_weil import both_precedences, random_spec_texts
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "corpus.alg")
@@ -129,10 +130,11 @@ def test_block_product_equals_full_bareiss(name, flip):
     pieces = analysis.algebra.graded_pieces()
     for fam in analysis.result.families:
         full, lin = family_matrices(analysis, fam)
-        det = filtered_determinant(full.entries, pieces, div)
-        assert det == bareiss_determinant(full.entries, div)
-        det1 = bareiss_determinant(full.block(pieces[0]).entries, div)
-        assert det1 == bareiss_determinant(lin.entries, div)
+        det = plain_bareiss(full.entries, div)
+        assert filtered_determinant(full.entries, pieces, div) == det
+        assert bareiss_determinant(full.entries, div) == det
+        det1 = plain_bareiss(full.block(pieces[0]).entries, div)
+        assert det1 == plain_bareiss(lin.entries, div)
         reported = family_determinants(analysis.endo, fam)
         assert reported["full"] == repr(det)
         assert reported["linear"] == repr(det1)
@@ -149,7 +151,7 @@ def test_graded_matrix_is_exact_on_the_blocks_det_reads(spec):
     endos = [analysis.endo]
     endos += [specialize(analysis.endo, fam.ring, fam.bindings) for fam in analysis.result.families]
     for k, endo in enumerate(endos):
-        graded = extend_to_matrix(endo, pieces)
+        graded = extend_to_matrix(endo, graded=True)
         full = extend_to_matrix(endo)
         for i, (graded_row, full_row) in enumerate(zip(graded.entries, full.entries)):
             for j, (g, f) in enumerate(zip(graded_row, full_row)):

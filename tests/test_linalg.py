@@ -8,7 +8,10 @@ unscaled, the usual wrong shortcut, breaks the comparisons below.
 It first splits the matrix into the fine blocks of its nonzero pattern (a
 perfect matching, then strongly connected components): the patterns below
 have no perfect matching, a matching of odd sign, blocks in a shuffled
-order, one irreducible block, or no zero entry at all.
+order, one irreducible block, or no zero entry at all. Leibniz stops at
+n = 6; matrices of the nil blocks' sizes (15 and more on jets) are checked
+against oracles.plain_bareiss, dense elimination with no look at the
+pattern.
 """
 
 import random
@@ -21,7 +24,7 @@ from weilaut.linalg import LinalgError, bareiss_determinant
 from weilaut.poly import Polynomial, PolyRing
 from weilaut.scalar import QQ
 
-from oracles import permutation_determinant
+from oracles import permutation_determinant, plain_bareiss
 
 RING = PolyRing(("X", "Y"), QQ)
 
@@ -237,3 +240,21 @@ def test_an_empty_or_non_square_matrix_raises():
     for rows in ([[1, 2]], [[1, 2], [3]], [[1], [2]]):
         with pytest.raises(LinalgError, match="not square"):
             bareiss_determinant(rows, floordiv)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_large_sparse_matrices_match_plain_bareiss(kind):
+    entry, zero, div = KINDS[kind]
+    rng = random.Random(35)
+    for _ in range(4 if kind == "poly" else 20):
+        n = rng.randrange(8, 19)
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(rng.randrange(1, min(6, n - sum(sizes)) + 1))
+        rows = shuffled(block_triangular(rng, sizes, rng.uniform(0.1, 0.5), entry, zero), rng)
+        if rng.random() < 0.3:
+            rows[rng.randrange(n)] = [zero] * n
+        before = [list(row) for row in rows]
+        got = bareiss_determinant(rows, no_zero_division(div))
+        assert got == plain_bareiss(rows, div), rows
+        assert rows == before
