@@ -22,7 +22,7 @@ from operator import add, floordiv
 
 from .scalar import QQ
 from .poly import PolyRing, Polynomial
-from .weil import integral_copy, structure_product, with_table
+from .weil import integral_copy, structure_product
 # rref is unused here but stays importable: bench/tracer.py patches endo.rref
 from .linalg import bareiss_determinant, check_block_triangular, rref  # noqa: F401
 
@@ -66,9 +66,10 @@ class SymbolicEndo:
 
     def image_of_monomial(self, exps):
         """Coordinates of the image of a basis monomial, phi extended multiplicatively."""
-        ring = self.ring
+        alg, ring = self.algebra, self.ring
         return _monomial_image(
-            self.algebra, self.images, tuple(exps), ring.zero(), ring.one(), self._monomial_cache
+            alg.structure_pairs, alg.ring.vars, self.images, tuple(exps),
+            ring.zero(), ring.one(), self._monomial_cache,
         )
 
     def image_of_polynomial(self, p):
@@ -82,28 +83,29 @@ class SymbolicEndo:
         return acc
 
 
-def _monomial_image(algebra, images, exps, zero, one, cache, plan=None):
+def _monomial_image(table, variables, images, exps, zero, one, cache, plan=None):
     """Coordinates of phi(monomial), phi given by the images of the variables.
 
     phi is extended multiplicatively by peeling one variable off the
-    monomial (_peel). zero and one are the coordinates' own, so the same
-    recursion serves symbolic and numeric endomorphisms; cache maps
-    exponents to coordinates already computed. plan, when given, maps each
-    monomial to the algebra whose product builds its image from the
-    peeled one's (graded_plan); otherwise that is algebra, and every
-    coordinate is computed.
+    monomial (_peel), and each product is structure_product over table.
+    zero and one are the coordinates' own, so the same recursion serves
+    symbolic and numeric endomorphisms; cache maps exponents to
+    coordinates already computed. plan, when given, maps each monomial to
+    the table whose product builds its image from the peeled one's
+    (graded_plan); otherwise that is table, and every coordinate is
+    computed.
     """
     coords = cache.get(exps)
     if coords is not None:
         return coords
     if not any(exps):
-        coords = [zero] * algebra.dim
+        coords = [zero] * len(table)
         coords[0] = one
     else:
         i, prev = _peel(exps)
-        base = _monomial_image(algebra, images, prev, zero, one, cache, plan)
-        product = algebra if plan is None else plan[exps]
-        coords = structure_product(product, base, images[algebra.ring.vars[i]], zero)
+        base = _monomial_image(table, variables, images, prev, zero, one, cache, plan)
+        product = table if plan is None else plan[exps]
+        coords = structure_product(product, base, images[variables[i]], zero)
     cache[exps] = coords
     return coords
 
@@ -118,8 +120,8 @@ def graded_plan(algebra):
     """The precision plan of extend_to_matrix's graded matrix.
 
     _monomial_image builds phi(c) as phi(prev) * phi(x), x the variable
-    peeled off c (_peel). The plan maps each nil basis monomial c to a
-    copy of algebra whose product keeps only the coordinates in the graded
+    peeled off c (_peel). The plan maps each nil basis monomial c to the
+    structure table whose product keeps only the coordinates in the graded
     pieces <= need(c):
       - a nil basis monomial b is needed in pieces <= piece(b), the
         columns of its row's diagonal and lower blocks;
@@ -138,38 +140,35 @@ def graded_plan(algebra):
     own pieces. Built on first use and cached on the algebra.
     """
     if algebra._graded_plan is None:
-        piece = [0] * algebra.dim
-        for d, positions in enumerate(algebra.graded_pieces(), start=1):
-            for p in positions:
-                piece[algebra.nil_indices[p]] = d
-        need = {algebra.basis[k]: piece[k] for k in algebra.nil_indices}
+        piece = algebra.piece
+        need = {algebra.basis[k]: piece[k] for k in range(1, algebra.dim)}
         # a monomial's need is final once every monomial of the next degree
         # has passed its own on
         for c in sorted(need, key=sum, reverse=True):
             prev = _peel(c)[1]
             if any(prev):
                 need[prev] = max(need[prev], need[c] - 1)
-        products = {n: _truncated(algebra, piece, n) for n in set(need.values())}
-        algebra._graded_plan = {c: products[n] for c, n in need.items()}
+        tables = {n: _truncated(algebra.structure_pairs, piece, n) for n in set(need.values())}
+        algebra._graded_plan = {c: tables[n] for c, n in need.items()}
     return algebra._graded_plan
 
 
-def _truncated(algebra, piece, n):
-    """algebra, its products' terms in pieces deeper than n dropped.
+def _truncated(table, piece, n):
+    """table, its products' terms in pieces deeper than n dropped.
 
     piece[k] is the graded piece of basis monomial k, 0 for the unit.
     """
     if n >= max(piece):
-        return algebra
-    table = []
-    for row in algebra.structure_pairs:
+        return table
+    out = []
+    for row in table:
         kept = []
         for j, pairs in row:
             terms = tuple((k, c) for k, c in pairs if piece[k] <= n)
             if terms:
                 kept.append((j, terms))
-        table.append(tuple(kept))
-    return with_table(algebra, tuple(table))
+        out.append(tuple(kept))
+    return tuple(out)
 
 
 def generic_endo(algebra):
@@ -199,9 +198,16 @@ def symmetric_power_exponent(n, d):
 
 
 class SymbolicMatrix:
-    __slots__ = ("ring", "entries", "labels")
+    """A square matrix of polynomials over ring, its rows labelled.
 
-    def __init__(self, ring, entries, labels):
+    pieces, when given, are algebra.graded_pieces() and the matrix is the
+    nil block of an endomorphism of that algebra (extend_to_matrix); det
+    then reads the matrix along them.
+    """
+
+    __slots__ = ("ring", "entries", "labels", "pieces")
+
+    def __init__(self, ring, entries, labels, pieces=None):
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise EndoError("matrix is not square")
@@ -210,24 +216,25 @@ class SymbolicMatrix:
         self.ring = ring
         self.entries = [list(row) for row in entries]
         self.labels = list(labels)
+        self.pieces = pieces
 
-    def det(self, pieces=None):
+    def det(self):
         """Exact determinant, 1 for the empty matrix.
 
-        pieces, when given, must be algebra.graded_pieces() and the matrix
-        the nil block of an endomorphism of that algebra (extend_to_matrix).
-        The matrix is then checked to be block upper-triangular along the
-        pieces, and its determinant is the product of the diagonal blocks'.
+        A matrix with no pieces takes bareiss_determinant whole. A nil
+        block with its pieces is checked to be block upper-triangular along
+        them, and its determinant is the product of the diagonal blocks'.
         A piece d of full size C(n+d-1, d), n = len(pieces[0]), is
         Sym^d(m/m^2), so its block's determinant is det(M1) to the power
         symmetric_power_exponent(n, d); only the other pieces and M1 take
-        bareiss_determinant, which splits each block further into the fine
-        blocks of its nonzero pattern and eliminates only those larger than
-        1 x 1. Only the diagonal and lower blocks are read, so the matrix
-        may be extend_to_matrix's graded one.
+        bareiss_determinant, which peels the rows of each block that hold
+        a single nonzero entry and eliminates only what remains. Only the
+        diagonal and lower blocks are read, so the matrix may be
+        extend_to_matrix's graded one.
         """
         if not self.entries:
             return self.ring.one()
+        pieces = self.pieces
         if pieces is None:
             return bareiss_determinant(self.entries, Polynomial.exact_div)
         check_block_triangular(self.entries, pieces)
@@ -244,7 +251,7 @@ class SymbolicMatrix:
         return out if rest is None else out * rest
 
     def block(self, positions):
-        """The principal submatrix on the given positions."""
+        """The principal submatrix on the given positions, with no pieces."""
         return SymbolicMatrix(
             self.ring,
             [[self.entries[i][j] for j in positions] for i in positions],
@@ -258,37 +265,34 @@ class SymbolicMatrix:
 def extend_to_matrix(endo, graded=False):
     """Matrix of phi on the nilpotent part, rows indexed by basis monomials.
 
-    With graded, the matrix is the associated graded map's with the blocks
-    below it, along algebra.graded_pieces(): row b holds phi(b)'s
-    coordinates in the pieces <= piece(b), computed exactly (graded_plan),
-    and zeros in the columns of deeper pieces. Those are the entries
-    SymbolicMatrix.det(pieces) and diagonal() read. Otherwise every image
-    is full.
+    The matrix carries algebra.graded_pieces(), and its det reads it
+    along them. With graded, the matrix is the associated graded map's with the
+    blocks below it: row b holds phi(b)'s coordinates in the pieces
+    <= piece(b), computed exactly (graded_plan), and zeros in the columns
+    of deeper pieces. Those are the entries SymbolicMatrix.det and
+    diagonal() read. Otherwise every image is full.
     """
     alg = endo.algebra
-    nil = alg.nil_indices
+    nil = range(1, alg.dim)
     labels = [alg.ring.monomial_str(alg.basis[i]) for i in nil]
+    zero = endo.ring.zero()
     if graded:
         plan = graded_plan(alg)
-        zero, one, cache = endo.ring.zero(), endo.ring.one(), {}
-        images = [_monomial_image(alg, endo.images, alg.basis[i], zero, one, cache, plan) for i in nil]
+        table, variables, one, cache = alg.structure_pairs, alg.ring.vars, endo.ring.one(), {}
+        images = [
+            _monomial_image(table, variables, endo.images, alg.basis[i], zero, one, cache, plan) for i in nil
+        ]
     else:
         images = [endo.image_of_monomial(alg.basis[i]) for i in nil]
+    piece = alg.piece
     rows = []
-    for coords in images:
+    for i, coords in zip(nil, images):
         if coords[0]:
             raise EndoError("image of a nilpotent left the nilradical")
-        rows.append([coords[j] for j in nil])
-    if graded:
         # a row on the peel chain of a deeper monomial holds coordinates
         # beyond its own piece too; the graded matrix drops them
-        pieces = alg.graded_pieces()
-        for d, positions in enumerate(pieces):
-            deeper = [q for later in pieces[d + 1:] for q in later]
-            for p in positions:
-                for q in deeper:
-                    rows[p][q] = zero
-    return SymbolicMatrix(endo.ring, rows, labels)
+        rows.append([coords[j] if not graded or piece[j] <= piece[i] else zero for j in nil])
+    return SymbolicMatrix(endo.ring, rows, labels, alg.graded_pieces())
 
 
 def linear_matrix(endo):
@@ -392,7 +396,7 @@ def substitute(matrix, bindings):
     """Simultaneous substitution of the bindings into every matrix entry."""
     closed = resolve_bindings(matrix.ring, bindings)
     entries = [[p.substitute(closed) for p in row] for row in matrix.entries]
-    return SymbolicMatrix(matrix.ring, entries, matrix.labels)
+    return SymbolicMatrix(matrix.ring, entries, matrix.labels, matrix.pieces)
 
 
 class NumericEndo:
@@ -426,7 +430,7 @@ def product_groups(algebra):
         basis = algebra.basis
         degree = [sum(e) for e in basis]
         groups = {}
-        for i, row in enumerate(map(dict, integral_copy(algebra)[1].structure_pairs)):
+        for i, row in enumerate(map(dict, integral_copy(algebra)[1])):
             for j in range(i, algebra.dim):
                 b = tuple(map(add, basis[i], basis[j]))
                 group = groups.get(b)
@@ -476,7 +480,7 @@ def numeric_instantiate(endo, values):
     }
     q, integral = integral_copy(alg)
     cache = {}
-    rows = [_monomial_image(integral, images, e, 0, 1, cache) for e in alg.basis]
+    rows = [_monomial_image(integral, alg.ring.vars, images, e, 0, 1, cache) for e in alg.basis]
     degree = [sum(e) for e in alg.basis]
     scale = [1]  # powers of Q*D
     for _ in range(2 * max(degree)):
@@ -503,7 +507,7 @@ def numeric_instantiate(endo, values):
     out._matrix = None
     out.is_homomorphism = not failing
     out.failing_pairs = failing
-    nil = alg.nil_indices
+    nil = range(1, alg.dim)
     out.is_automorphism = out.is_homomorphism and (
         not nil or bareiss_determinant([[rows[i][j] for j in nil] for i in nil], floordiv) != 0
     )

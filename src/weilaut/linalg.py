@@ -4,13 +4,12 @@ Works over any commutative domain whose elements support +, -, * and
 truthiness for zero tests. Division is injected where needed so the same
 routines serve Fraction, FieldElement and Polynomial entries.
 
-The determinant reads the nonzero pattern before it eliminates. A perfect
-matching of rows to columns (augmenting paths) puts nonzero entries on the
-diagonal, or shows the determinant is 0 with no arithmetic; the strongly
-connected components of the pattern (Tarjan) then give the fine
-block-triangular form (Dulmage-Mendelsohn), and only blocks larger than
-1 x 1 are eliminated. The elimination is sparse too: a zero entry costs a
-truth test and no arithmetic.
+The determinant reads the nonzero pattern before it eliminates: a row with
+a single nonzero entry is expanded along (Laplace) and leaves with that
+entry's column, so a matrix that is triangular up to a permutation of its
+rows and columns needs no elimination at all. What no such row reaches is
+eliminated as one block. The elimination is sparse too: a zero entry costs
+a truth test and no arithmetic.
 """
 
 from .scalar import field_div
@@ -21,16 +20,15 @@ class LinalgError(ArithmeticError):
 
 
 def bareiss_determinant(rows, exact_div):
-    """Exact determinant from the fine block-triangular form.
+    """Exact determinant: singleton rows peeled, the rest by elimination.
 
-    exact_div(a, b) must divide exactly. When no perfect matching of rows
-    to columns runs along nonzero entries, the determinant is the zero of
-    the entry type. Otherwise, with the columns permuted so the matching
-    lies on the diagonal, the matrix is block triangular along the strongly
-    connected components of its pattern (an edge i -> k for each nonzero
-    entry (i, k)), and the determinant is the permutation's sign times the
-    product of the components' blocks' determinants: a 1 x 1 block is its
-    entry, a larger one takes fraction-free elimination (_eliminate).
+    exact_div(a, b) must divide exactly. A row whose nonzero entries among
+    the remaining columns are a single x, at position p among the remaining
+    rows and q among the remaining columns, contributes (-1)^(p+q) * x, and
+    it leaves with x's column. A row with no nonzero entry left makes the
+    determinant the zero of the entry type. The rows and columns that no
+    singleton reaches, in their order, take fraction-free elimination
+    (_eliminate) as one block.
     """
     n = len(rows)
     if n == 0:
@@ -38,129 +36,31 @@ def bareiss_determinant(rows, exact_div):
     for r in rows:
         if len(r) != n:
             raise LinalgError("matrix is not square")
-    pattern = [[j for j, x in enumerate(r) if x] for r in rows]
-    match = _perfect_matching(pattern)
-    if match is None:
-        return rows[0][0] - rows[0][0]
-    owner = [0] * n  # owner[j]: the row matched to column j
-    for i, j in enumerate(match):
-        owner[j] = i
-    det = None
-    for block in _strong_components([[owner[j] for j in cols] for cols in pattern]):
-        if len(block) == 1:
-            i = block[0]
-            d = rows[i][match[i]]
-        else:
-            block.sort()
-            d = _eliminate([[rows[i][match[k]] for k in block] for i in block], exact_div)
-            if not d:
-                return d
+    pattern = [{j for j, x in enumerate(r) if x} for r in rows]
+    live_rows, live_cols = list(range(n)), list(range(n))
+    ready = [i for i in range(n) if len(pattern[i]) < 2]
+    det, odd = None, False
+    while ready:
+        i = ready.pop()
+        if not pattern[i]:
+            return rows[0][0] - rows[0][0]
+        (j,) = pattern[i]
+        odd ^= (live_rows.index(i) + live_cols.index(j)) % 2 == 1
+        live_rows.remove(i)
+        live_cols.remove(j)
+        det = rows[i][j] if det is None else det * rows[i][j]
+        for k in live_rows:
+            cols = pattern[k]
+            if j in cols:
+                cols.discard(j)
+                if len(cols) == 1:
+                    ready.append(k)
+    if live_rows:
+        d = _eliminate([[rows[i][j] for j in live_cols] for i in live_rows], exact_div)
+        if not d:
+            return d
         det = d if det is None else det * d
-    return det if _permutation_sign(match) == 1 else -det
-
-
-def _perfect_matching(pattern):
-    """The column matched to each row, or None without a perfect matching.
-
-    pattern[i] lists the columns of row i's nonzero entries, in ascending
-    order. Rows are matched in order, each by an augmenting path found by a
-    search that visits each column once (Kuhn's algorithm gives a maximum
-    matching); when a row has none, no perfect matching exists. A matrix
-    whose diagonal has no zero entry gets the identity: row i's scan meets
-    columns below i taken and column i free.
-    """
-    n = len(pattern)
-    match = [None] * n
-    owner = [None] * n
-    for root in range(n):
-        reached_from = [None] * n  # the row whose search reached column j
-        stack = [root]
-        end = None
-        while stack and end is None:
-            i = stack.pop()
-            for j in pattern[i]:
-                if reached_from[j] is None:
-                    reached_from[j] = i
-                    if owner[j] is None:
-                        end = j
-                        break
-                    stack.append(owner[j])
-        if end is None:
-            return None
-        j = end
-        while j is not None:
-            i = reached_from[j]
-            match[i], j = j, match[i]
-            owner[match[i]] = i
-    return match
-
-
-def _strong_components(succ):
-    """The strongly connected components of the graph i -> succ[i].
-
-    Tarjan's algorithm (SIAM J. Comput. 1, 1972), iterative: the stack
-    holds each open node with the iterator over its successors, so nothing
-    calls itself.
-    """
-    n = len(succ)
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    out = []
-    count = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        index[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, edges = work[-1]
-            for w in edges:
-                if index[w] is None:
-                    index[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        component.append(w)
-                        if w == v:
-                            break
-                    out.append(component)
-    return out
-
-
-def _permutation_sign(p):
-    """+1 or -1, the sign of the permutation i -> p[i]."""
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = p[i]
-        seen[i] = True
-        while j != i:
-            seen[j] = True
-            sign = -sign
-            j = p[j]
-    return sign
+    return -det if odd else det
 
 
 def _eliminate(m, exact_div):

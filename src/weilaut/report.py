@@ -109,14 +109,15 @@ def family_determinants(endo, fam):
     the associated graded map, with its lower blocks, and zeros above. A
     piece of full size C(n+d-1, d), n the size of piece 1, is
     Sym^d(m/m^2), and its block's determinant is det(B1)^C(n+d-1, d-1),
-    B1 the piece-1 block; the other pieces are split into the fine blocks
-    of their nonzero pattern, and only those larger than 1 x 1 take
-    Bareiss (SymbolicMatrix.det). det M1, B1's determinant, is the
-    solver's invertibility polynomial after the family's bindings.
+    B1 the piece-1 block; on the other pieces the rows with a single
+    nonzero entry are peeled, and only what remains takes Bareiss
+    (SymbolicMatrix.det, which reads the pieces the matrix carries). det
+    M1, B1's determinant, is the solver's invertibility polynomial after
+    the family's bindings.
     """
     full = extend_to_matrix(specialize(endo, fam.ring, fam.bindings), graded=True)
     return {
-        "full": repr(full.det(endo.algebra.graded_pieces())),
+        "full": repr(full.det()),
         "linear": repr(fam.nondeg_value),
         "diagonal": [repr(p) for p in full.diagonal()],
     }

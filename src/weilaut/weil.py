@@ -7,14 +7,16 @@ coordinates in that basis; products are cached as structure constants, so
 one multiplication, structure_product, drives both numeric elements and
 symbolic endomorphism images. The table is sparse: structure_pairs[i] holds
 a (j, pairs) entry, in increasing j, for each nonzero product e_i * e_j
-only, pairs being its (k, coefficient) terms. integral_copy rescales the
-constants to integers for the numeric check, which then never leaves
-Python ints.
+only, pairs being its (k, coefficient) terms. structure_product takes the
+table, so a rescaled or truncated copy of it multiplies with no copy of the
+algebra: integral_copy rescales the constants to integers for the numeric
+check, which then never leaves Python ints.
 
 build_algebra requires each power m^s of the maximal ideal to be spanned by
 basis monomials (nil_power_indices). One pass from s = r down to 1 uses
 m^s = m^(s+1) + span(normal forms of degree-s monomials): the forms are cleared
-on m^(s+1)'s monomials and row-reduced; each pivot row must be a unit vector.
+on m^(s+1)'s monomials and row-reduced; each pivot row must be a unit vector,
+and its monomial, new in m^s, lies in the graded piece m^s/m^(s+1) (piece).
 """
 
 from math import lcm
@@ -71,7 +73,7 @@ class WeilAlgebra:
         "dim",
         "basis_index",
         "structure_pairs",
-        "nil_indices",
+        "piece",
         "nil_power_indices",
         "nilpotency_order",
         "_integral",
@@ -89,30 +91,30 @@ class WeilAlgebra:
         """Nil-block positions spanning m^d / m^(d+1), for d = 1, 2, ...
 
         Each m^d is spanned by basis monomials (see nil_power_indices), so
-        piece d is the monomials of m^d outside m^(d+1); piece 1 is the
-        degree-one basis.
+        piece d is the monomials of m^d outside m^(d+1), those whose piece
+        record is d; piece 1 is the degree-one basis. Basis monomial k has
+        nil-block position k - 1.
         """
-        npi = self.nil_power_indices
-        position = {k: p for p, k in enumerate(self.nil_indices)}
-        pieces = []
-        for d, span in enumerate(npi):
-            deeper = set(npi[d + 1]) if d + 1 < len(npi) else set()
-            pieces.append(tuple(position[k] for k in span if k not in deeper))
-        return tuple(pieces)
+        return tuple(
+            tuple(k - 1 for k in range(1, self.dim) if self.piece[k] == d)
+            for d in range(1, self.nilpotency_order + 1)
+        )
 
 
-def structure_product(algebra, u, v, zero):
+def structure_product(table, u, v, zero):
     """Coordinates of the product of two coordinate vectors.
 
-    Entries only need +, * against each other and the structure constants
-    (ints, or Fractions when not integral), so the same routine multiplies
-    numeric elements and vectors of symbolic polynomials.
+    table is a structure table in the form of structure_pairs, of
+    dimension len(table). Entries only need +, * against each other and
+    the structure constants (ints, or Fractions when not integral), so the
+    same routine multiplies numeric elements and vectors of symbolic
+    polynomials.
     """
-    out = [None] * algebra.dim
+    out = [None] * len(table)
     for i, ui in enumerate(u):
         if not ui:
             continue
-        for j, pairs in algebra.structure_pairs[i]:
+        for j, pairs in table[i]:
             vj = v[j]
             if not vj:
                 continue
@@ -124,31 +126,22 @@ def structure_product(algebra, u, v, zero):
 
 
 def integral_copy(algebra):
-    """(Q, B): B is the algebra with every structure constant multiplied by Q.
+    """(Q, T): T is the structure table with every constant multiplied by Q.
 
-    Q is the lcm of the constants' denominators, so B's table holds ints and
-    B's product is Q times the algebra's: structure_product over B stays in
+    Q is the lcm of the constants' denominators, so T holds ints and its
+    product is Q times the algebra's: structure_product over T stays in
     Python ints. Built on first use and cached, since only the numeric
     product check needs it.
     """
     if algebra._integral is None:
         table = algebra.structure_pairs
         q = lcm(*(c.denominator for row in table for _, pairs in row for _, c in pairs))
-        scaled = with_table(algebra, tuple(
+        scaled = tuple(
             tuple((j, tuple((k, c.numerator * (q // c.denominator)) for k, c in pairs)) for j, pairs in row)
             for row in table
-        ))
+        )
         algebra._integral = (q, scaled)
     return algebra._integral
-
-
-def with_table(algebra, table):
-    """A copy of algebra whose products, by structure_product, use table."""
-    copy = WeilAlgebra.__new__(WeilAlgebra)
-    for name in WeilAlgebra.__slots__:
-        setattr(copy, name, getattr(algebra, name))
-    copy.structure_pairs = table
-    return copy
 
 
 def build_algebra(spec):
@@ -177,7 +170,6 @@ def build_algebra(spec):
                 prow.append((j, tuple(sorted((alg.basis_index[e], c) for e, c in nf.terms.items()))))
         pairs_table.append(tuple(prow))
     alg.structure_pairs = tuple(pairs_table)
-    alg.nil_indices = tuple(range(1, alg.dim))
     alg._integral = None
     alg._product_groups = None  # filled by endo.product_groups
     alg._graded_plan = None  # filled by endo.graded_plan
@@ -185,6 +177,7 @@ def build_algebra(spec):
     # span: the basis monomials spanning m^(s+1), from m^(r+1) = 0
     span = set()
     npi = []
+    piece = [0] * alg.dim
     for s in range(spec.order, 0, -1):
         rows = []
         for e in monomials(len(ring.vars), s, s):
@@ -200,10 +193,13 @@ def build_algebra(spec):
             if any(sum(map(bool, row)) != 1 for row in red[: len(pivots)]):
                 raise WeilError("nilradical power is not spanned by basis monomials")
             span.update(pivots)
+            for k in pivots:
+                piece[k] = s
         if span:
             npi.insert(0, tuple(sorted(span)))
     alg.nil_power_indices = tuple(npi)
     alg.nilpotency_order = len(npi)
+    alg.piece = tuple(piece)
     deg1 = set(alg.degree_one_indices())
     if len(npi) >= 2 and (set(npi[1]) & deg1):
         raise WeilError("a degree-one basis element lies in the square of the nilradical")

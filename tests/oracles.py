@@ -12,8 +12,9 @@ linear_bind_candidates and trial_division_linear_bind keep the solver's
 earlier linear bind, which tried every guarded-monomial coefficient by exact
 division, as a reference for the constant-lead bind that replaced it.
 plain_bareiss is the textbook fraction-free elimination on the dense
-matrix, with no look at the nonzero pattern; filtered_determinant multiplies
-its determinants of the diagonal blocks, and the filtration tests check that
+matrix, with no look at the nonzero pattern; filtered_determinant tests the
+blocks below the diagonal for zeros itself and multiplies plain_bareiss's
+determinants of the diagonal blocks, and the filtration tests check that
 against plain_bareiss on the whole matrix.
 """
 
@@ -21,7 +22,6 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
 
-from weilaut.linalg import check_block_triangular
 from weilaut.quotient import IdealPresentation, buchberger, normal_form, standard_monomials
 
 
@@ -327,10 +327,16 @@ def principal(matrix, positions):
 def filtered_determinant(rows, blocks, exact_div):
     """Determinant of a matrix that is block upper-triangular along blocks.
 
-    The matrix must pass check_block_triangular; the determinant is then the
-    product of the diagonal blocks' determinants.
+    Every entry in a row of a block and a column of an earlier block must
+    be zero (AssertionError otherwise); the determinant is then the product
+    of the diagonal blocks' determinants.
     """
-    check_block_triangular(rows, blocks)
+    for d, block in enumerate(blocks):
+        for earlier in blocks[:d]:
+            for i in block:
+                for j in earlier:
+                    if rows[i][j]:
+                        raise AssertionError("entry (%d, %d) lies below the diagonal blocks" % (i, j))
     det = None
     for block in blocks:
         d = plain_bareiss([[rows[i][j] for j in block] for i in block], exact_div)
@@ -443,6 +449,6 @@ def numeric_product_check(endo, values):
             if coords(lhs) != coords(normal_form(phi[i] * phi[j], gb)):
                 failing.append((names[i], names[j]))
     matrix = [coords(p) for p in phi]
-    nil = alg.nil_indices
+    nil = range(1, alg.dim)
     invertible = rank(principal(matrix, nil)) == len(nil)
     return matrix, failing, not failing, not failing and invertible

@@ -238,7 +238,7 @@ def test_criterion_5_oracle_equivalence(pipeline, criterion):
             endo, system = analysis.endo, analysis.system
             alg = analysis.algebra
             fams = analysis.result.families
-            mul = lambda u, v: structure_product(alg, u, v, Fraction(0))
+            mul = lambda u, v: structure_product(alg.structure_pairs, u, v, Fraction(0))
             rng = random.Random(700 + alg.dim)
             points = [{u: frac(rng) for u in endo.unknowns} for _ in range(100)]
             points += [family_point(fams[k % len(fams)], rng) for k in range(100)]
@@ -300,7 +300,7 @@ def test_criterion_6_determinant_homomorphism(pipeline, criterion):
         for name in ALGEBRAS:
             analysis, _ = pipeline[name]
             alg, endo = analysis.algebra, analysis.endo
-            deg1, nil = degree_one(alg), alg.nil_indices
+            deg1, nil = degree_one(alg), range(1, alg.dim)
             for fi, fam in enumerate(analysis.result.families):
                 rng = random.Random(600 + 10 * alg.dim + fi)
                 for _ in range(100):

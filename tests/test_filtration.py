@@ -2,11 +2,15 @@
 
 Full Bareiss on the whole nil block is the oracle (oracles.plain_bareiss,
 which reads no nonzero pattern): on every family the product of the
-diagonal-block determinants, the package's bareiss_determinant and the
+diagonal-block determinants (oracles.filtered_determinant, which tests the
+lower blocks for zeros itself), the package's bareiss_determinant and the
 reported det M, which takes det(M1)^C(n+d-1, d-1) on every full-size piece
 d, must equal it, and the first block must give det M1. The report's
 graded matrix, built from truncated images, must equal the full matrix on
-every entry of the diagonal and lower blocks.
+every entry of the diagonal and lower blocks. The package's own check,
+check_block_triangular, which SymbolicMatrix.det runs on a nil block that
+carries its graded pieces, is tested on the generic cusp matrix, which is
+not block triangular.
 """
 
 import os
@@ -158,7 +162,7 @@ def test_graded_matrix_is_exact_on_the_blocks_det_reads(spec):
                 # the diagonal and lower blocks exactly, zeros above them
                 assert g == (f if piece[j] <= piece[i] else 0), (k, graded.labels[i], graded.labels[j])
         if k:
-            assert graded.det(pieces) == full.det(pieces)
+            assert graded.det() == full.det()
             assert graded.diagonal() == full.diagonal()
 
 
@@ -201,7 +205,7 @@ def test_generic_cusp_matrix_is_not_block_triangular():
         check_block_triangular(rows, pieces)
     ring = rows[0][0].ring
     with pytest.raises(LinalgError):
-        SymbolicMatrix(ring, rows, [""] * len(rows)).det(pieces)
+        SymbolicMatrix(ring, rows, [""] * len(rows), pieces).det()
 
 
 def test_triangularity_check_survives_optimized_python():
@@ -213,8 +217,8 @@ def test_triangularity_check_survives_optimized_python():
         "from weilaut.linalg import LinalgError, check_block_triangular",
         "assert False, 'asserts are on'",
         "rows, pieces = cusp_generic_nil_matrix()",
-        "matrix = SymbolicMatrix(rows[0][0].ring, rows, [''] * len(rows))",
-        "for check in (lambda: check_block_triangular(rows, pieces), lambda: matrix.det(pieces)):",
+        "matrix = SymbolicMatrix(rows[0][0].ring, rows, [''] * len(rows), pieces)",
+        "for check in (lambda: check_block_triangular(rows, pieces), lambda: matrix.det()):",
         "    try:",
         "        check()",
         "    except LinalgError:",

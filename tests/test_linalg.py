@@ -5,13 +5,15 @@ a zero numerator; a nonzero entry of a row whose entry in the pivot column
 is zero must still be scaled by pivot / previous pivot. Leaving such rows
 unscaled, the usual wrong shortcut, breaks the comparisons below.
 
-It first splits the matrix into the fine blocks of its nonzero pattern (a
-perfect matching, then strongly connected components): the patterns below
-have no perfect matching, a matching of odd sign, blocks in a shuffled
-order, one irreducible block, or no zero entry at all. Leibniz stops at
-n = 6; matrices of the nil blocks' sizes (15 and more on jets) are checked
-against oracles.plain_bareiss, dense elimination with no look at the
-pattern.
+It first peels every row with a single nonzero entry among the remaining
+columns, with the sign of its position: the patterns below are structurally
+singular, a permutation of odd sign, triangular or block triangular in a
+shuffled order, one irreducible block, or have no zero entry at all. A
+matrix that is triangular up to a permutation of its rows and columns, as
+the graded pieces' blocks of the traffic are, must be determined with no
+division at all. Leibniz stops at n = 6; matrices of the nil blocks' sizes
+(15 and more on jets) are checked against oracles.plain_bareiss, dense
+elimination with no look at the pattern.
 """
 
 import random
@@ -24,7 +26,7 @@ from weilaut.linalg import LinalgError, bareiss_determinant
 from weilaut.poly import Polynomial, PolyRing
 from weilaut.scalar import QQ
 
-from oracles import permutation_determinant, plain_bareiss
+from oracles import perm_sign, permutation_determinant, plain_bareiss
 
 RING = PolyRing(("X", "Y"), QQ)
 
@@ -77,7 +79,7 @@ def monomial_matrix(rng, n, entry, zero):
 
 
 def no_division(a, b):
-    raise AssertionError("a structurally singular matrix was eliminated")
+    raise AssertionError("a division was made")
 
 
 def check(rows, div):
@@ -165,7 +167,7 @@ def test_singular_matrices_give_zero(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
-def test_no_perfect_matching_gives_the_zero_of_the_entry_type(kind):
+def test_structurally_singular_matrices_give_the_zero_of_the_entry_type(kind):
     entry, zero, div = KINDS[kind]
     rng = random.Random(30)
     for n in range(1, 7):
@@ -176,9 +178,36 @@ def test_no_perfect_matching_gives_the_zero_of_the_entry_type(kind):
             few = set(rng.sample(range(n), k - 1))
             for i in rng.sample(range(n), k):
                 rows[i] = [x if j in few else zero for j, x in enumerate(rows[i])]
-            got = bareiss_determinant(rows, no_division)
+            got = bareiss_determinant(rows, no_zero_division(div))
             assert not got and type(got) is type(zero)
             check(rows, div)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_shuffled_triangular_matrices_take_no_division(kind):
+    entry, zero, div = KINDS[kind]
+    rng = random.Random(36)
+    one = entry(rng) ** 0
+    trials = 2 if kind == "poly" else 6
+    for n in list(range(1, 7)) + list(range(8, 19)):
+        # density 0 leaves the diagonal alone: a monomial matrix once shuffled
+        cases = [(lambda rng: one, 0), (entry, 0)] + [(entry, rng.uniform(0.2, 0.9)) for _ in range(trials)]
+        for fill, density in cases:
+            triangular = block_triangular(rng, [1] * n, density, fill, zero)
+            p, q = list(range(n)), list(range(n))
+            rng.shuffle(p)
+            rng.shuffle(q)
+            rows = [[triangular[p[i]][q[j]] for j in range(n)] for i in range(n)]
+            want = triangular[0][0]
+            for i in range(1, n):
+                want = want * triangular[i][i]
+            if perm_sign(p) * perm_sign(q) == -1:
+                want = -want
+            before = [list(row) for row in rows]
+            assert bareiss_determinant(rows, no_division) == want, rows
+            assert rows == before
+            if n <= 6:
+                assert permutation_determinant(rows) == want
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -201,8 +230,8 @@ def test_a_vanishing_leading_minor_takes_a_row_swap(kind):
     rng = random.Random(32)
     for n in range(3, 7):
         for _ in range(4):
-            # no zero entry: the matching is the diagonal and the matrix one
-            # block, whose leading 2 x 2 minor vanishes at elimination step 1
+            # no zero entry: no row is peeled and the matrix is one block,
+            # whose leading 2 x 2 minor vanishes at elimination step 1
             rows = sparse_matrix(rng, n, 1.0, entry, zero)
             rows[1][:2] = rows[0][:2]
             check(rows, div)
