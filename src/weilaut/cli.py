@@ -136,6 +136,10 @@ def _write_json(path, report):
 
 
 def cmd_solve(args, renderer=render_solve_text):
+    if args.max_branch_depth < 0:
+        raise UsageError(
+            "--max-branch-depth must be at least 0, got %d" % args.max_branch_depth
+        )
     spec = load_spec(args)
     analysis = analyze(spec, max_depth=args.max_branch_depth)
     report = build_report(analysis)

@@ -280,7 +280,10 @@ def parse_specfile(text):
     specs = []
     while not s.at("EOF"):
         s.expect("NAME", "algebra")
-        name = s.expect("NAME")[1]
+        name_tok = s.expect("NAME")
+        name = name_tok[1]
+        if any(spec.name == name for spec in specs):
+            raise ParseError("duplicate algebra name %r" % name, name_tok[2], name_tok[3])
         s.expect("{")
         entries = {}
         while not s.at("}"):

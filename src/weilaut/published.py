@@ -16,7 +16,6 @@ the unknown names would not line up and the comparison would be nonsense.
 # substitute is unused here but stays importable: bench/tracer.py patches published.substitute
 from .endo import extend_to_matrix, relation_label, specialize, substitute  # noqa: F401
 from .parsing import parse_polynomial
-from .solver import component_count
 
 TANGENT2 = {
     "system_printed": "A*D = 0; B*E = 0",
@@ -208,12 +207,13 @@ def _same_equation(p, q):
     return p.primitive() == q.primitive()
 
 
-def build_discrepancies(data, endo, system, result):
+def build_discrepancies(data, endo, system, components, det1_image):
     """Every place where the printed reference forms differ from the engine.
 
-    Items are dicts {where, printed, derived}; the order is fixed
-    (equations, then matrices, then determinants, then the component count)
-    so reports are reproducible byte for byte. A printed family is staged as
+    Items are dicts {where, printed, derived}, in a fixed order (equations,
+    matrices, determinants, then the solver's two answers, components and
+    det1_image, which are compared here, not decided) so reports are
+    reproducible byte for byte. A printed family is staged as
     report.family_determinants stages a solved one: its bindings go into the
     variable images, which are then extended, and det M is taken through
     the graded pieces.
@@ -291,15 +291,15 @@ def build_discrepancies(data, endo, system, result):
                     "derived": repr(eng_det1),
                 })
 
-    if "components" in data:
-        computed = component_count(result)
-        if computed != data["components"]:
+    for where, key, derived in (
+        ("component count", "components", components),
+        ("det1 image", "det1_image", det1_image),
+    ):
+        if key in data and derived != data[key]:
             items.append({
-                "where": "component count",
-                "printed": data.get(
-                    "components_claim", str(data["components"])
-                ),
-                "derived": str(computed),
+                "where": where,
+                "printed": data.get(key + "_claim", str(data[key])),
+                "derived": str(derived),
             })
 
     return items

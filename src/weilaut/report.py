@@ -3,7 +3,9 @@
 The JSON form is canonical: keys are sorted, indentation is fixed and the
 text ends with a newline, so identical inputs give byte-identical files.
 Every value is a plain string, integer, list or dict, which makes the
-serialization round-trip exactly.
+serialization round-trip exactly. The two answers, components and
+det1_image, are the solver's, computed once; build_discrepancies only
+compares them with the printed ones.
 """
 
 import json
@@ -18,7 +20,7 @@ from .endo import (  # noqa: F401
 )
 from .published import build_discrepancies, match_reference_family, reference_for
 from .scalar import QQ
-from .solver import MAX_DEPTH, classify_det1, component_count, solve
+from .solver import MAX_DEPTH, classify_det1, component_count, det1_image, solve
 from .weil import build_algebra
 
 REPORT_KEYS = (
@@ -33,29 +35,10 @@ REPORT_KEYS = (
     "residuals",
 )
 
-_POSITIVE = ("{1}", "(0,inf)")
-_SIGNED = ("{1}", "(0,inf)", "(-inf,0)", "R\\{0}")
-
 
 def compact(monomial):
     """Display form of a basis monomial: X*Y^2 -> XY^2."""
     return monomial.replace("*", "")
-
-
-def overall_det1_image(tags):
-    """Union of per-family det1 images, in the four supported labels."""
-    if not tags:
-        return "undetermined"
-    seen = set(tags)
-    if not seen.issubset(_SIGNED):
-        return "undetermined"
-    if seen == {"{1}"}:
-        return "{1}"
-    if seen.issubset(_POSITIVE):
-        return "(0,inf)"
-    if seen == {"(-inf,0)"}:
-        return "undetermined"
-    return "R\\{0}"
 
 
 def _field_json(ring):
@@ -169,12 +152,8 @@ def build_report(analysis):
     result = analysis.result
     data = analysis.reference
 
-    families = [_family_json(f) for f in result.families]
-    det1_image = overall_det1_image([f["det1_image"] for f in families])
-    # an open residual may hold automorphisms the families miss; R\{0} stays
-    # exact, since det1 != 0 bounds every image from above
-    if result.residuals and det1_image != "R\\{0}":
-        det1_image = "undetermined"
+    components = component_count(result)
+    image = det1_image(result)
     constraints = {
         "derived": [
             {
@@ -202,16 +181,16 @@ def build_report(analysis):
         },
         "basis": [compact(m) for m in algebra.basis_names()],
         "constraints": constraints,
-        "families": families,
+        "families": [_family_json(f) for f in result.families],
         "determinants": {
             "families": [
                 family_determinants(endo, f) for f in result.families
             ],
             "reference": _reference_determinants(data, result.families),
         },
-        "components": component_count(result),
-        "det1_image": det1_image,
-        "discrepancies": build_discrepancies(data, endo, system, result)
+        "components": components,
+        "det1_image": image,
+        "discrepancies": build_discrepancies(data, endo, system, components, image)
         if data
         else [],
         "residuals": [_residual_json(r) for r in result.residuals],

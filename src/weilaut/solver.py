@@ -19,7 +19,8 @@ coefficient lists of scalar.py's univariate kernel; it names the residual
 when no plan is finished. One loop, _run, serves solve() from a system's
 root branch and close_branch from any branch, guarded or bound. Guards arise
 only from split complements, never from the invertibility requirement, which
-instead kills a branch outright when it collapses to zero.
+instead kills a branch outright when it collapses to zero. The report's two
+answers are decided here from a SolveResult: component_count and det1_image.
 """
 
 from functools import cmp_to_key, reduce
@@ -674,6 +675,24 @@ def component_count(result):
         content = fam.nondeg_value.content_exps()
         total += 2 ** sum(1 for u in fam.nonzero if content[fam.ring.index[u]])
     return total
+
+
+def det1_image(result):
+    """Image of the linear-part determinant, when the families make it readable.
+
+    The union of the families' images (classify_det1), unless one is none of
+    {1}, (0,inf), (-inf,0), R\\{0} or all are (-inf,0). A residual may hold
+    automorphisms the families miss, so there only R\\{0} stays, exact as
+    det1 is never 0. Anything else is "undetermined".
+    """
+    seen = {classify_det1(fam) for fam in result.families}
+    positive = {"{1}", "(0,inf)"}
+    if seen and seen <= positive and not result.residuals:
+        return "{1}" if seen == {"{1}"} else "(0,inf)"
+    signed = seen <= positive | {"(-inf,0)", "R\\{0}"}
+    if signed and not seen <= positive and seen != {"(-inf,0)"}:
+        return "R\\{0}"
+    return "undetermined"
 
 
 def classify_det1(family):

@@ -87,6 +87,18 @@ def test_solve_exits_two_on_residuals(capsys):
     assert "components: undetermined" in out
 
 
+def test_solve_rejects_a_negative_branch_depth(tmp_path, capsys):
+    out_json = tmp_path / "out.json"
+    for command in ("solve", "report"):
+        for depth in ("-1", "-3"):
+            argv = [command, spec_path("tangent2"), "--max-branch-depth", depth, "--json", str(out_json)]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: --max-branch-depth must be at least 0, got %s\n" % depth
+            assert captured.out == ""
+    assert not out_json.exists()
+
+
 TAN6O2 = (
     "algebra tan6o2 { vars: X, Y, Z, W, V, U; order: 2;"
     " relations: X^2, Y^2, Z^2, W^2, V^2, U^2; }\n"

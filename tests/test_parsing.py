@@ -274,8 +274,23 @@ def test_bindings_rules_point_at_the_offending_name():
         ),
         ("algebra t { vars: X, X; order: 2; relations: ; }", "duplicate variable 'X' in vars", "X;"),
         ("algebra t {\n  vars: X;\n  relations: X^2;\n  }", "algebra 't' is missing the 'order' entry", "}"),
+        (
+            "algebra t { vars: X; order: 1; relations: ; }\n"
+            "algebra s { vars: X; order: 2; relations: ; }\n"
+            "algebra t { vars: Y; order: 2; relations: ; }",
+            "duplicate algebra name 't'",
+            "t { vars: Y",
+        ),
     ],
-    ids=["order", "empty-vars", "missing-relations", "constant-term", "duplicate-var", "missing-order"],
+    ids=[
+        "order",
+        "empty-vars",
+        "missing-relations",
+        "constant-term",
+        "duplicate-var",
+        "missing-order",
+        "duplicate-block",
+    ],
 )
 def test_spec_errors_point_at_their_token(text, message, token):
     # token: the text the error must point at, found by its first occurrence

@@ -3,8 +3,8 @@
 import pytest
 
 from weilaut.parsing import parse_specfile
-from weilaut.published import match_reference_family, reference_for, spec_signature
-from weilaut.report import analyze, build_report
+from weilaut.published import TANGENT2, match_reference_family, reference_for, spec_signature
+from weilaut.report import Analysis, analyze, build_report
 from weilaut.specdata import spec_path
 
 
@@ -115,6 +115,23 @@ def test_quartic_agreements_produce_no_items(reports):
 def test_sextic_report_has_no_discrepancies(reports):
     _, rep = reports["sextic"]
     assert rep["discrepancies"] == []
+
+
+def test_the_shipped_det1_images_agree_with_the_printed_ones(reports):
+    for name, (_, rep) in reports.items():
+        assert rep["det1_image"] == reference_for(load_spec(name))["det1_image"]
+        assert "det1 image" not in [d["where"] for d in rep["discrepancies"]]
+
+
+def test_a_changed_printed_det1_image_is_one_discrepancy(reports):
+    analysis, rep = reports["tangent2"]
+    printed = dict(TANGENT2, det1_image="(0,inf)")
+    changed = Analysis(
+        analysis.spec, analysis.algebra, analysis.endo, analysis.system, analysis.result, printed
+    )
+    assert build_report(changed)["discrepancies"] == rep["discrepancies"] + [
+        {"where": "det1 image", "printed": "(0,inf)", "derived": "R\\{0}"}
+    ]
 
 
 def test_family_matching_uses_the_zero_set(reports):

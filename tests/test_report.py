@@ -14,12 +14,18 @@ from weilaut.report import (
     build_report,
     canonical_json,
     compact,
-    overall_det1_image,
     render_report_text,
     render_solve_text,
 )
 from weilaut.scalar import QQ
-from weilaut.solver import solve
+from weilaut.solver import (
+    Residual,
+    SolutionFamily,
+    SolveResult,
+    classify_det1,
+    det1_image,
+    solve,
+)
 from weilaut.specdata import spec_path
 
 
@@ -74,16 +80,46 @@ def test_compact_strips_the_multiplication_stars():
     assert compact("X^2*Y^3") == "X^2Y^3"
 
 
-def test_overall_det1_image_aggregation():
-    assert overall_det1_image([]) == "undetermined"
-    assert overall_det1_image(["{1}"]) == "{1}"
-    assert overall_det1_image(["{1}", "{1}"]) == "{1}"
-    assert overall_det1_image(["{1}", "(0,inf)"]) == "(0,inf)"
-    assert overall_det1_image(["(0,inf)"]) == "(0,inf)"
-    assert overall_det1_image(["(-inf,0)"]) == "undetermined"
-    assert overall_det1_image(["(0,inf)", "(-inf,0)"]) == "R\\{0}"
-    assert overall_det1_image(["R\\{0}"]) == "R\\{0}"
-    assert overall_det1_image(["{1}", "weird"]) == "undetermined"
+def _family_with_det1_image(label):
+    """A one-unknown family whose det1 classify_det1 reads as label."""
+    ring = PolyRing(("A",), QQ)
+    a = ring.var("A")
+    det1 = {
+        "{1}": ring.one(),
+        "{3}": ring.coerce(3),
+        "(0,inf)": a * a,
+        "(-inf,0)": -(a * a),
+        "R\\{0}": a,
+    }[label]
+    return SolutionFamily((), ring, {}, ("A",), ("A",), (), det1)
+
+
+# family images, whether a residual remains, the image det1_image reads
+DET1_IMAGE_CASES = [
+    ((), False, "undetermined"),
+    (("{1}",), False, "{1}"),
+    (("{1}", "{1}"), False, "{1}"),
+    (("{1}", "(0,inf)"), False, "(0,inf)"),
+    (("(0,inf)",), False, "(0,inf)"),
+    (("(-inf,0)",), False, "undetermined"),
+    (("(0,inf)", "(-inf,0)"), False, "R\\{0}"),
+    (("R\\{0}",), False, "R\\{0}"),
+    (("{1}", "{3}"), False, "undetermined"),
+    # a residual keeps only R\{0}, the one image no automorphism can widen
+    (("R\\{0}",), True, "R\\{0}"),
+    (("(0,inf)", "(-inf,0)"), True, "R\\{0}"),
+    (("(0,inf)",), True, "undetermined"),
+    (("{1}",), True, "undetermined"),
+    ((), True, "undetermined"),
+]
+
+
+def test_det1_image_is_the_union_of_the_family_images():
+    for labels, residual, image in DET1_IMAGE_CASES:
+        families = [_family_with_det1_image(label) for label in labels]
+        assert [classify_det1(f) for f in families] == list(labels)
+        residuals = [Residual(("A = 0",), "branch depth limit", [], {}, [])] if residual else []
+        assert det1_image(SolveResult(families, [], residuals)) == image, (labels, residual)
 
 
 def test_tangent_report_content(built):
